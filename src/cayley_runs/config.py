@@ -19,6 +19,8 @@ class McTolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             x = getattr(self, f.name)
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"tolerance {f.name}={x!r} is not a number")
             if not 0.0 < x < 1.0:
                 raise ValueError(f"tolerance {f.name}={x} outside (0, 1)")
 
@@ -31,6 +33,10 @@ class Config:
     rng_seed: int = 1729
 
     def __post_init__(self) -> None:
+        for name in ("exhaustive_bound", "series_order", "rng_seed"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"{name}={x!r} is not an integer")
         if self.exhaustive_bound < 1 or self.series_order < 1:
             raise ValueError("bounds must be positive")
 
@@ -40,6 +46,16 @@ def load_config(path: str | None) -> Config:
     if path is None:
         return Config()
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    tol = McTolerances(**raw.pop("mc_tolerances", {}))
-    return Config(mc_tolerances=tol, **raw)
+        raw = _fields_of(Config, json.load(fh), "config")
+    tol = _fields_of(McTolerances, raw.pop("mc_tolerances", {}), "mc_tolerances")
+    return Config(mc_tolerances=McTolerances(**tol), **raw)
+
+
+def _fields_of(cls, raw, what: str) -> dict:
+    """raw as keyword arguments for cls; ValueError unless a JSON object of cls's fields."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return dict(raw)

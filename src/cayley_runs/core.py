@@ -81,7 +81,7 @@ def _check_labels(values: tuple[int, ...]) -> None:
     if n < 1:
         raise LabelOutOfRangeError("need at least one node")
     for x in values:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        if type(x) is not int or not 1 <= x <= n:  # bool is an int subclass
             raise LabelOutOfRangeError(f"label {x!r} outside [1, {n}]")
 
 
@@ -195,20 +195,24 @@ def tree_from_text(text: str) -> CayleyTree:
     return make_tree(_parse_labels(text))
 
 
-def mapping_from_json(text: str) -> Mapping:
+def _json_labels(text: str, key: str) -> list:
+    """The label list under ``key`` of a JSON object, checked against its declared n."""
     obj = json.loads(text)
-    m = make_mapping(obj["image"])
-    if "n" in obj and obj["n"] != m.n:
-        raise LabelOutOfRangeError(f"declared n={obj['n']} but {m.n} entries")
-    return m
+    labels = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(labels, list):
+        raise LabelOutOfRangeError(f"JSON input needs a {key!r} list")
+    n = obj.get("n", len(labels))
+    if isinstance(n, bool) or n != len(labels):
+        raise LabelOutOfRangeError(f"declared n={n!r} but {len(labels)} entries")
+    return labels
+
+
+def mapping_from_json(text: str) -> Mapping:
+    return make_mapping(_json_labels(text, "image"))
 
 
 def tree_from_json(text: str) -> CayleyTree:
-    obj = json.loads(text)
-    t = make_tree(obj["parent"])
-    if "n" in obj and obj["n"] != t.n:
-        raise LabelOutOfRangeError(f"declared n={obj['n']} but {t.n} entries")
-    return t
+    return make_tree(_json_labels(text, "parent"))
 
 
 def load_mapping(text: str) -> Mapping:

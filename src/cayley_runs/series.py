@@ -5,6 +5,14 @@ coefficient is a polynomial in the run-marking variable v with exact
 rational coefficients.  No floating point enters this module: every
 identity check below is an exact coefficient-wise comparison.
 
+The solvers never iterate to a fixed point.  They hold a series S as
+its EGF-scaled integers n! [z^n] S (polynomials in v with integer
+coefficients) and compute each coefficient once, in increasing n, from
+lower ones by binomial convolutions (online evaluation of the
+functional equation); the result is converted to a Fraction
+BivariateSeries once, on return.  The identity checks use the
+BivariateSeries arithmetic, a second and independent implementation.
+
 The four generating functions handled here, with counts recovered as
 n! [z^n v^m]:
 
@@ -32,7 +40,7 @@ class VPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
+        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.c: tuple[Fraction, ...] = tuple(c)
@@ -291,68 +299,138 @@ class BivariateSeries:
         return " + ".join(terms) if terms else "0"
 
 
+def _add(p: list[int], q: list[int], c: int = 1) -> list[int]:
+    """p + c q for integer polynomials in v."""
+    if len(p) < len(q):
+        p = p + [0] * (len(q) - len(p))
+    return [x + c * q[i] if i < len(q) else x for i, x in enumerate(p)]
+
+
+def _binomial_conv(k: int, a: list, b: list, js: range) -> list[int]:
+    """Sum over j in js of C(k, j) a[j] b[k - j]: k! [z^k] of a product of EGFs."""
+    out: list[int] = []
+    for j in js:
+        p, q = a[j], b[k - j]
+        if not p or not q:
+            continue
+        c = math.comb(k, j)
+        if len(out) < len(p) + len(q) - 1:
+            out += [0] * (len(p) + len(q) - 1 - len(out))
+        for i, x in enumerate(p):
+            if x:
+                x *= c
+                for l, y in enumerate(q):
+                    out[i + l] += x * y
+    return out
+
+
+def _exp_next(a: list, e: list) -> list[int]:
+    """e_k for k = len(e), from E' = S' E: sum_{j=1..k} C(k-1, j-1) a_j e_{k-j}."""
+    k = len(e)
+    return _binomial_conv(k - 1, a[1:], e, range(k))
+
+
+def _log(p: list, order: int) -> list:
+    """ln P for P with constant term 1, from P' = L' P.
+
+    l_k = p_k - sum_{j=1..k-1} C(k-1, j-1) l_j p_{k-j}.
+    """
+    out: list = [[]]
+    for k in range(1, order + 1):
+        out.append(_add(p[k], _binomial_conv(k - 1, out[1:], p, range(k - 1)), -1))
+    return out
+
+
+def _to_series(s: list, order: int) -> BivariateSeries:
+    """The public Fraction form [z^n] = s[n] / n! of the EGF integers s."""
+    coeffs = []
+    fact = 1
+    for n, p in enumerate(s):
+        fact *= n or 1
+        coeffs.append(VPoly([Fraction(x, fact) for x in p]))
+    return BivariateSeries(order, coeffs)
+
+
+def _from_series(s: BivariateSeries) -> list:
+    """The EGF-scaled integers n! [z^n v^m] of a counting series."""
+    return [[s.count(n, m) for m in range(s.coefficient(n).degree + 1)]
+            for n in range(s.order + 1)]
+
+
+def _exp_of(a: list, order: int) -> list:
+    """e^S up to z^order from the EGF integers a of S (zero constant term)."""
+    e: list = [[1]]
+    while len(e) <= order:
+        e.append(_exp_next(a, e))
+    return e
+
+
 def auxiliary_series(order: int) -> BivariateSeries:
     """Unique zero-at-origin solution of A = z (v e^A + 1 - v).
 
-    Fixed-point iteration gains one z order per pass, so ``order`` passes
-    settle every retained coefficient.
+    With a_n = n! [z^n] A and e_n = n! [z^n] e^A, the equation reads
+    a_1 = 1 and a_n = n v e_{n-1} for n >= 2, while
+    e_k = sum_{j=1..k} C(k-1, j-1) a_j e_{k-j} needs only a_1..a_k.
+    One sweep in n alternates the two.
     """
-    z = BivariateSeries.z(order)
-    v = BivariateSeries.v(order)
-    one = BivariateSeries.one(order)
-    a = BivariateSeries.zero(order)
-    for _ in range(order + 1):
-        nxt = z * (v * a.exp() + one - v)
-        if nxt == a:
-            break
-        a = nxt
-    return a
+    a: list = [[], [1]][: order + 1]
+    e: list = [[1]]
+    for n in range(2, order + 1):
+        e.append(_exp_next(a, e))
+        a.append([0] + [n * x for x in e[n - 1]])
+    return _to_series(a, order)
 
 
 def tree_series(order: int) -> BivariateSeries:
     """Run-marked tree series: n! [z^n v^m] counts size-n trees with m runs.
 
     Solved through its z derivative, which is rational in the series
-    itself: dF/dz = g / (1 - z g) with g = e^F - 1 + v.  Integrating the
-    relation term by term gains one z order per pass.
+    itself: dF/dz = g / (1 - z g) with g = e^F - 1 + v, i.e.
+    F_z = g + z g F_z.  With f_n = n! [z^n] F and g_k = k! [z^k] g
+    (g_0 = v, g_k = k! [z^k] e^F for k >= 1), this is
+    f_{k+1} = g_k + k sum_{j<k} C(k-1, j) g_j f_{k-j},
+    and g_k needs only f_1..f_k, so one sweep in k settles F.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    z = BivariateSeries.z(order)
-    v = BivariateSeries.v(order)
-    one = BivariateSeries.one(order)
-    f = BivariateSeries.zero(order)
-    for _ in range(order + 1):
-        g = f.exp() - one + v
-        nxt = (g.truncate(order - 1) / (one - z * g).truncate(order - 1)).integrate_z()
-        if nxt == f:
-            break
-        f = nxt
-    return f
+    f: list = [[], [0, 1]]
+    ef: list = [[1]]
+    g: list = [[0, 1]]
+    for k in range(1, order):
+        ef.append(_exp_next(f, ef))
+        g.append(ef[k])
+        f.append(_add(g[k], _binomial_conv(k - 1, g, f[1:], range(k)), k))
+    return _to_series(f, order)
 
 
 def mapping_series(order: int) -> BivariateSeries:
-    """Run-marked mapping series 1 / (1 - z v e^A) with A the auxiliary series."""
-    z = BivariateSeries.z(order)
-    v = BivariateSeries.v(order)
-    one = BivariateSeries.one(order)
-    a = auxiliary_series(order)
-    return (one - z * v * a.exp()).inverse()
+    """Run-marked mapping series 1 / (1 - z v e^A) with A the auxiliary series.
+
+    With t_j = j! [z^j] z v e^A = j v e_{j-1}, the reciprocal R = 1 + T R
+    gives r_0 = 1 and r_n = sum_{j=1..n} C(n, j) t_j r_{n-j}.
+    """
+    e = _exp_of(_from_series(auxiliary_series(order)), order - 1)
+    t = [[]] + [[0] + [j * x for x in e[j - 1]] for j in range(1, order + 1)]
+    r: list = [[1]]
+    for n in range(1, order + 1):
+        r.append(_binomial_conv(n, t, r, range(1, n + 1)))
+    return _to_series(r, order)
 
 
 def connected_series(order: int) -> BivariateSeries:
     """Run-marked connected-mapping series.
 
     ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)); both factors have
-    constant term 1, so the quotient's log is taken termwise exactly.
+    constant term 1, so each log follows from P' = L' P coefficient by
+    coefficient over the EGF integers, and the series is their difference.
     """
-    v = BivariateSeries.v(order)
-    one = BivariateSeries.one(order)
-    a = auxiliary_series(order)
-    ea = a.exp()
-    numer = v * ea + one - v
-    denom = v * ea * (one - a) + one - v
-    return numer.log() - denom.log()
+    a = _from_series(auxiliary_series(order))
+    e = _exp_of(a, order)
+    numer = [[1]] + [[0] + e[k] for k in range(1, order + 1)]
+    denom = [[1]] + [[0] + _add(e[k], _binomial_conv(k, a, e, range(1, k + 1)), -1)
+                     for k in range(1, order + 1)]
+    c = [_add(p, q, -1) for p, q in zip(_log(numer, order), _log(denom, order))]
+    return _to_series(c, order)
 
 
 def pde_residual(f: BivariateSeries) -> BivariateSeries:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,25 @@ def test_verify_series(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+def test_verify_series_order_24(capsys):
+    code, out = run(capsys, "verify-series", "--order", "24")
+    assert code == 0
+    assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["series", "--which", w, "--order", "16"], f"series_{w}_order16.csv") for w in "HFRC"
+] + [(["table", "--kind", "connected", "--n", "12"], "table_connected_n12.csv")])
+def test_series_output_matches_golden(capsys, argv, golden):
+    # recorded from the fixed-point Fraction engine that the integer sweeps replaced
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_all_small(capsys):
     code, out = run(capsys, "verify-all", "--n-max", "3")
     assert code == 0
@@ -166,6 +186,28 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     code, _ = run(capsys, "--config", str(cfg), "table", "--kind", "mapping",
                   "--n", "6", "--oracle", "--max-size", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize("doc", [{"nope": 1}, {"series_order": "x"}, [1],
+                                 {"rng_seed": True}, {"mc_tolerances": {"ks": "a"}},
+                                 {"mc_tolerances": {"nope": 0.1}}])
+def test_bad_config_is_a_usage_error(capsys, tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["--config", str(cfg), "series", "--which", "H", "--order", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, tree", [
+    ('{"image": [true]}', False), ('{"parent": [true]}', True), ("true", False), ("true", True),
+    ('{"image": 5}', False), ('{"parent": null}', True), ('{"image": [1], "n": true}', False),
+])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, text, tree):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = ["runs", "--input", str(path)] + (["--tree"] if tree else [])
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors(capsys):

@@ -79,6 +79,20 @@ def test_auxiliary_series_hand_coefficients():
     assert h.coefficient(3) == VPoly((0, F(1, 2), 1))  # v/2 + v^2
 
 
+def test_auxiliary_series_matches_lagrange_inversion():
+    # A = z phi(A) with phi(u) = v e^u + 1 - v, so n [z^n] A = [u^(n-1)] phi(u)^n and
+    # n! [z^n] A = sum_k C(n, k) k^(n-1) v^k (1 - v)^(n-k), expanded here in integers only.
+    order = 30
+    h = auxiliary_series(order)
+    for n in range(1, order + 1):
+        expected = [0] * (n + 1)
+        for k in range(n + 1):
+            c = math.comb(n, k) * k ** (n - 1)
+            for i in range(n - k + 1):  # (1 - v)^(n-k)
+                expected[k + i] += c * math.comb(n - k, i) * (-1) ** i
+        assert [h.count(n, m) for m in range(n + 1)] == expected
+
+
 def test_tree_series_counts():
     f = tree_series(10)
     assert f.count(1, 1) == 1
