@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Print run-count tables from brute force next to the Stirling closed forms.
 
-The exhaustive scan enumerates all n^n arrays; n = 8 is about 1.7e7
-arrays and is worth the --workers flag.
+The exhaustive scan enumerates all n^n arrays.  n = 8 is about 1.7e7
+arrays: `--n-max 8 --workers 2`, which raises the bound to its n-max,
+takes about 5 s on a 2-core x86-64 box (numpy 2.4), of which n = 8
+itself is about 4.6 s, the time of
+`cayley-runs table --kind tree --n 8 --oracle --max-size 8 --workers 2`.
 """
 
 import argparse

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CayleyTree, LabelOutOfRangeError, Mapping, make_mapping, make_tree
+from .core import CayleyTree, LabelOutOfRangeError, Mapping, _cycles, make_mapping, make_tree
 from .exact import SizeTooLargeError
 
 LinkSequence = tuple[int, ...]
@@ -85,27 +85,6 @@ def tree_to_mapping(mt: MarkedTree) -> Mapping:
     return make_mapping(image)
 
 
-def _cycle_maxima(image: tuple[int, ...]) -> list[int]:
-    """Largest node of each cycle (one cycle per weak component)."""
-    n = len(image)
-    state = bytearray(n + 1)  # 0 unseen, 1 on current walk, 2 done
-    maxima = []
-    for s in range(1, n + 1):
-        if state[s]:
-            continue
-        walk = []
-        u = s
-        while state[u] == 0:
-            state[u] = 1
-            walk.append(u)
-            u = image[u - 1]
-        if state[u] == 1:
-            maxima.append(max(walk[walk.index(u):]))
-        for x in walk:
-            state[x] = 2
-    return maxima
-
-
 def mapping_to_tree(m: Mapping) -> MarkedTree:
     """Inverse construction: cut each cycle at its largest node and chain the pieces.
 
@@ -113,7 +92,7 @@ def mapping_to_tree(m: Mapping) -> MarkedTree:
     d_i = f(c_i), the edges (c_i, d_i) are replaced by (c_i, d_{i+1});
     c_t becomes the root and d_1 the mark.
     """
-    c = sorted(_cycle_maxima(m.image), reverse=True)
+    c = sorted((max(cycle) for cycle in _cycles(m.image)), reverse=True)
     d = [m.image[ci - 1] for ci in c]
     parent = list(m.image)
     for i in range(len(c) - 1):
@@ -134,10 +113,16 @@ class OrderedSetPartition:
 
 
 def make_partition(blocks) -> OrderedSetPartition:
-    blocks = tuple(frozenset(b) for b in blocks)
+    try:
+        raw = [list(b) for b in blocks]
+    except TypeError:
+        raise ValueError("blocks must be a sequence of label collections") from None
+    if any(type(x) is not int for b in raw for x in b):  # bool is an int subclass
+        raise ValueError("block labels must be integers")
+    blocks = tuple(frozenset(b) for b in raw)
     if not blocks or any(not b for b in blocks):
         raise ValueError("blocks must be non-empty")
-    n = sum(len(b) for b in blocks)
+    n = sum(len(b) for b in raw)  # a repeated label leaves [n] uncovered
     union = set().union(*blocks)
     if union != set(range(1, n + 1)):
         raise ValueError("blocks must partition [n]")
@@ -209,8 +194,8 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
         raise InvalidLinkSequenceError(
             f"{len(x)} links for {len(s.blocks)} blocks")
     for nj in x:
-        if not 1 <= nj <= n:
-            raise InvalidLinkSequenceError(f"link {nj} outside [1, {n}]")
+        if type(nj) is not int or not 1 <= nj <= n:
+            raise InvalidLinkSequenceError(f"link {nj!r} outside [1, {n}]")
     for j, (nj, bad) in enumerate(zip(x, forbidden_links(s))):
         if nj in bad:
             raise InvalidLinkSequenceError(

@@ -115,7 +115,9 @@ def _cmd_partition(args, _cfg: Config) -> int:
         }))
     else:
         obj = json.loads(_read(args.input))
-        partition = bijections.make_partition(obj["blocks"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("links"), list):
+            raise ValueError('partition JSON needs an object with "blocks" and "links" lists')
+        partition = bijections.make_partition(obj.get("blocks"))
         mapping = bijections.decode_partition(partition, tuple(obj["links"]))
         print(mapping.to_text())
     return 0

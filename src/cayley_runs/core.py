@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class InvalidTreeError(ValueError):
@@ -107,31 +108,21 @@ def make_tree(parent) -> CayleyTree:
     if len(roots) > 1:
         raise MultipleRootsError(f"multiple roots: {roots}")
     root = roots[0]
-    # Every node must reach the root; stamp visited paths so the scan is O(n).
-    state = [0] * (n + 1)  # 0 unseen, 1 on current walk, 2 known-good
-    state[root] = 2
-    for s in range(1, n + 1):
-        if state[s]:
-            continue
-        walk = []
-        u = s
-        while state[u] == 0:
-            state[u] = 1
-            walk.append(u)
-            u = parent[u - 1]
-        if state[u] == 1:
-            raise CycleDetectedError(f"cycle through node {u}")
-        for x in walk:
-            state[x] = 2
+    # Every node must reach the root, so the root's self-loop is the only cycle.
+    for cycle in _cycles(parent):
+        if cycle != [root]:
+            raise CycleDetectedError(f"cycle through node {cycle[0]}")
     return CayleyTree(n=n, parent=parent, root=root)
 
 
-def cyclic_nodes(m: Mapping) -> frozenset[int]:
-    """Nodes j with f^k(j) = j for some k >= 1."""
-    n = m.n
-    image = m.image
+def _cycles(image: tuple[int, ...]) -> Iterator[list[int]]:
+    """Each cycle of the functional graph, as its nodes in walk order.
+
+    One stamped walk from every unseen node: O(n) in total, since a node
+    is walked once.  A walk that meets itself has found a new cycle.
+    """
+    n = len(image)
     state = [0] * (n + 1)  # 0 unseen, 1 on current walk, 2 done
-    cyclic: set[int] = set()
     for s in range(1, n + 1):
         if state[s]:
             continue
@@ -142,10 +133,14 @@ def cyclic_nodes(m: Mapping) -> frozenset[int]:
             walk.append(u)
             u = image[u - 1]
         if state[u] == 1:
-            cyclic.update(walk[walk.index(u):])
+            yield walk[walk.index(u):]
         for x in walk:
             state[x] = 2
-    return frozenset(cyclic)
+
+
+def cyclic_nodes(m: Mapping) -> frozenset[int]:
+    """Nodes j with f^k(j) = j for some k >= 1."""
+    return frozenset(j for cycle in _cycles(m.image) for j in cycle)
 
 
 def components(m: Mapping) -> ComponentDecomposition:

@@ -1,9 +1,10 @@
 """Exact run counting: Stirling-number closed forms, moments, brute-force oracles.
 
-Everything here is big-integer or exact-rational arithmetic; the counts
-overflow any fixed width long before n = 50.  The brute-force tallies
-enumerate raw arrays and are the independent ground truth the closed
-forms are checked against.
+The closed forms and moments are big-integer or exact-rational
+arithmetic; the counts overflow any fixed width long before n = 50.  The
+brute-force tallies enumerate raw arrays through the numpy kernels
+(their int64 tallies hold n^n for every size the scan can reach) and
+are the independent ground truth the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import kernels
+
 DEFAULT_EXHAUSTIVE_BOUND = 7
+_FREE_ENTRIES = 5  # a scan block varies the last 5 entries: n^5 rows bounds its memory
 
 
 class SizeTooLargeError(ValueError):
@@ -113,54 +119,30 @@ def exact_moments(n: int) -> ExactMoments:
     return ExactMoments(mean=mean, variance=Fraction(s2, total) - mean * mean)
 
 
-def _tally_prefixes(n: int, firsts: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
-    """Scan all arrays in [n]^n whose first entry is in ``firsts``.
+def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
+    """Run-count tallies (tree, mapping, connected) over the given prefix blocks.
 
-    One pass serves all three tables: every array is a mapping; the
-    connected ones with a fixed point are exactly the parent arrays of
-    valid trees (a connected functional graph has one cycle, and a
-    fixed-point cycle makes it a rooted tree), and the self-loop at the
+    Each block holds every array in [n]^n that starts with its prefix, one
+    array per row.  One pass serves all three tables: every array is a
+    mapping; the connected ones with a fixed point are exactly the parent
+    arrays of valid trees (a connected functional graph has one cycle, and
+    a fixed-point cycle makes it a rooted tree), and the self-loop at the
     root never affects the run-start predicate.
     """
-    tree = [0] * (n + 1)
-    mapp = [0] * (n + 1)
-    conn = [0] * (n + 1)
-    rng = range(1, n + 1)
-    for first in firsts:
-        for rest in itertools.product(rng, repeat=n - 1):
-            img = (first, *rest)
-            mask = 0
-            has_fixed = False
-            i = 0
-            for j in img:
-                i += 1
-                if i < j:
-                    mask |= 1 << j
-                elif i == j:
-                    has_fixed = True
-            m = n - bin(mask).count("1")
-            mapp[m] += 1
-            uf = list(range(n + 1))
-            comps = n
-            i = 0
-            for j in img:
-                i += 1
-                x = i
-                while uf[x] != x:
-                    uf[x] = uf[uf[x]]
-                    x = uf[x]
-                y = j
-                while uf[y] != y:
-                    uf[y] = uf[uf[y]]
-                    y = uf[y]
-                if x != y:
-                    uf[x] = y
-                    comps -= 1
-            if comps == 1:
-                conn[m] += 1
-                if has_fixed:
-                    tree[m] += 1
-    return tree, mapp, conn
+    p = len(prefixes[0])
+    s = n - p
+    block = np.empty((n ** s, n), dtype=np.intp)
+    block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
+    tallies = np.zeros((3, n + 1), dtype=np.int64)
+    for prefix in prefixes:
+        block[:, :p] = prefix
+        runs = kernels.run_counts(block)
+        conn = kernels.connected(block)
+        tree = conn & kernels.has_fixed_point(block)
+        tallies[0] += np.bincount(runs[tree], minlength=n + 1)
+        tallies[1] += np.bincount(runs, minlength=n + 1)
+        tallies[2] += np.bincount(runs[conn], minlength=n + 1)
+    return tallies
 
 
 def brute_force_tables(
@@ -171,24 +153,24 @@ def brute_force_tables(
     """Exhaustive (tree, mapping, connected-mapping) run tables for size n.
 
     Enumerates all n^n arrays, so the bound matters; raise it explicitly
-    to go beyond the default.  With workers > 1 the space is split by the
-    first array entry and per-worker tallies are merged by addition.
+    to go beyond the default.  The scan runs over blocks that fix all but
+    the last five entries (16,807 arrays each at n = 7); with workers > 1
+    the blocks are dealt round-robin and per-worker tallies are merged by
+    addition.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > max_size:
         raise SizeTooLargeError(f"n={n} exceeds exhaustive bound {max_size}")
-    if workers <= 1 or n == 1:
-        tree, mapp, conn = _tally_prefixes(n, tuple(range(1, n + 1)))
+    prefixes = list(itertools.product(range(1, n + 1), repeat=max(1, n - _FREE_ENTRIES)))
+    if workers <= 1 or len(prefixes) == 1:
+        tallies = _tally_blocks(n, prefixes)
     else:
-        chunks = [tuple(range(1 + w, n + 1, workers)) for w in range(min(workers, n))]
+        chunks = [prefixes[w::workers] for w in range(min(workers, len(prefixes)))]
         with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
-            parts = pool.starmap(_tally_prefixes, [(n, c) for c in chunks])
-        tree = [sum(p[0][m] for p in parts) for m in range(n + 1)]
-        mapp = [sum(p[1][m] for p in parts) for m in range(n + 1)]
-        conn = [sum(p[2][m] for p in parts) for m in range(n + 1)]
+            tallies = sum(pool.starmap(_tally_blocks, [(n, c) for c in chunks]))
 
-    def table(row: list[int]) -> CountTable:
-        return CountTable(n=n, values={m: row[m] for m in range(1, n + 1) if row[m]})
+    def table(row: np.ndarray) -> CountTable:
+        return CountTable(n=n, values={m: int(row[m]) for m in range(1, n + 1) if row[m]})
 
-    return table(tree), table(mapp), table(conn)
+    return table(tallies[0]), table(tallies[1]), table(tallies[2])

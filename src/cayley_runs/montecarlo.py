@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .bijections import mapping_to_tree
 from .core import CayleyTree, Mapping, make_mapping
 from .runs import run_starts_tree
@@ -69,20 +70,6 @@ def sample_tree(n: int, seed) -> CayleyTree:
     return mapping_to_tree(sample_mapping(n, seed)).tree
 
 
-def _count_runs_rows(arr: np.ndarray) -> np.ndarray:
-    """Run counts for a batch of image arrays (rows), vectorized.
-
-    A node j has a smaller preimage exactly when some column i < j holds
-    value j; the run count is n minus the number of such nodes.
-    """
-    rows, n = arr.shape
-    flags = np.zeros((rows, n + 1), dtype=bool)
-    ascending = arr > np.arange(1, n + 1)
-    r, c = np.nonzero(ascending)
-    flags[r, arr[r, c]] = True
-    return n - flags[:, 1:].sum(axis=1)
-
-
 def _chunk_layout(n: int, samples: int) -> list[int]:
     rows = max(1, _CHUNK_CELLS // max(n, 1))
     sizes = []
@@ -104,7 +91,7 @@ def _chunk_histogram(args) -> np.ndarray:
             tree = mapping_to_tree(make_mapping(int(x) for x in arr[k])).tree
             counts[k] = run_starts_tree(tree).count
     else:
-        counts = _count_runs_rows(arr)
+        counts = kernels.run_counts(arr)
     return np.bincount(counts, minlength=n + 1)
 
 

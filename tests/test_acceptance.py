@@ -162,7 +162,7 @@ def test_criterion_06_series_identities_order_12():
             ok &= f.count(n, m) == tree_runs(n, m)
             ok &= r.count(n, m) == mapping_runs(n, m)
     c = connected_series(order)
-    for n in range(1, 7):
+    for n in range(1, 8):
         ok &= series_count_table(c, n).values == brute_force_tables(n)[2].values
     _report(6, "all order-12 series identities hold exactly",
             ok, f"{time.time() - t0:.1f}s")

@@ -210,6 +210,17 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, text, tree):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("doc", [
+    [1], {"blocks": 5, "links": []}, {"blocks": [[True]], "links": [1]},
+    {"blocks": [[1.0]], "links": [1]}, {"blocks": [[1, 1]], "links": [1]},
+])
+def test_malformed_partition_is_a_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["partition", "decode", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors(capsys):
     assert run_cli(["table", "--kind", "nonsense", "--n", "3"]) == 2
     assert run_cli(["phi"]) == 2

@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from cayley_runs import (
     SizeTooLargeError,
     brute_force_tables,
+    connected_series,
     exact_moments,
     falling_factorial,
     mapping_run_table,
     mapping_runs,
+    series_count_table,
     stirling2,
     tree_run_table,
     tree_runs,
     tree_runs_alternating,
 )
+from cayley_runs import exact, series
 from cayley_runs.bijections import _set_partitions
 
 
@@ -154,8 +157,25 @@ def test_brute_force_connected_totals():
 
 
 def test_brute_force_workers_merge():
-    for workers in (2, 3):
-        assert brute_force_tables(4, workers=workers) == brute_force_tables(4)
+    for n in range(1, 7):
+        single = brute_force_tables(n)
+        for workers in (2, 3, 7):
+            assert brute_force_tables(n, workers=workers) == single
+
+
+def test_brute_force_calls_no_formula(monkeypatch):
+    n = 6
+    want = (tree_run_table(n), mapping_run_table(n),
+            series_count_table(connected_series(n), n))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not call a formula")
+
+    for name in ("stirling2", "mapping_runs", "tree_runs"):
+        monkeypatch.setattr(exact, name, forbidden)
+    for name in ("auxiliary_series", "tree_series", "mapping_series", "connected_series"):
+        monkeypatch.setattr(series, name, forbidden)
+    assert brute_force_tables(n) == want
 
 
 def test_brute_force_bound():
