@@ -8,6 +8,9 @@ The second decomposes a mapping into its ascending runs, producing an
 ordered set partition (blocks sorted by decreasing maximum) together
 with a link sequence recording the image of each block's largest
 element; the pair determines the mapping uniquely.
+
+Decoding validates a pair by re-encoding the mapping it builds;
+``forbidden_links`` states the restriction for the counting oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import CayleyTree, LabelOutOfRangeError, Mapping, _cycles, make_mapping, make_tree
-from .exact import SizeTooLargeError
+from .exact import DEFAULT_EXHAUSTIVE_BOUND, SizeTooLargeError
 
 LinkSequence = tuple[int, ...]
 
@@ -92,7 +95,7 @@ def mapping_to_tree(m: Mapping) -> MarkedTree:
     d_i = f(c_i), the edges (c_i, d_i) are replaced by (c_i, d_{i+1});
     c_t becomes the root and d_1 the mark.
     """
-    c = sorted((max(cycle) for cycle in _cycles(m.image)), reverse=True)
+    c = sorted((max(cycle) for cycle in _cycles(m.image)[0]), reverse=True)
     d = [m.image[ci - 1] for ci in c]
     parent = list(m.image)
     for i in range(len(c) - 1):
@@ -187,7 +190,8 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     Within a block sorted increasingly each element maps to the next;
     the largest element maps to its link.  Rejects link sequences that
     break the restriction, since those pairs are outside the image of
-    ``encode_partition``.
+    ``encode_partition``: the encoding is a bijection onto the restricted
+    pairs, so a pair is valid exactly when its mapping re-encodes to it.
     """
     n = s.n
     if len(x) != len(s.blocks):
@@ -196,17 +200,17 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     for nj in x:
         if type(nj) is not int or not 1 <= nj <= n:
             raise InvalidLinkSequenceError(f"link {nj!r} outside [1, {n}]")
-    for j, (nj, bad) in enumerate(zip(x, forbidden_links(s))):
-        if nj in bad:
-            raise InvalidLinkSequenceError(
-                f"link {nj} for block {j + 1} is forbidden by an earlier block")
     image = [0] * n
     for block, nj in zip(s.blocks, x):
         run = sorted(block)
         for a, b in zip(run, run[1:]):
             image[a - 1] = b
         image[run[-1] - 1] = nj
-    return make_mapping(image)
+    m = make_mapping(image)
+    if encode_partition(m) != (s, tuple(x)):
+        raise InvalidLinkSequenceError(
+            "a link is forbidden by an earlier block: the pair does not re-encode to itself")
+    return m
 
 
 def _set_partitions(n: int, m: int) -> Iterator[list[list[int]]]:
@@ -232,7 +236,7 @@ def _set_partitions(n: int, m: int) -> Iterator[list[list[int]]]:
     yield from place(1)
 
 
-def count_valid_pairs(n: int, m: int, max_size: int = 7) -> int:
+def count_valid_pairs(n: int, m: int, max_size: int = DEFAULT_EXHAUSTIVE_BOUND) -> int:
     """Count (partition, link sequence) pairs satisfying the restriction.
 
     Enumerates every ordered set partition of [n] into m blocks and, per

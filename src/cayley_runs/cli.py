@@ -217,6 +217,9 @@ def _cmd_verify_all(args, cfg: Config) -> int:
     import itertools
 
     n_max = args.n_max
+    bound = cfg.exhaustive_bound
+    if n_max > bound:
+        raise exact.SizeTooLargeError(f"n-max={n_max} exceeds exhaustive bound {bound}")
     ok = True
 
     def report(name: str, passed: bool) -> None:
@@ -237,7 +240,6 @@ def _cmd_verify_all(args, cfg: Config) -> int:
         report(f"bijection-round-trip n={n}", good_round)
         report(f"run-preservation n={n}", good_runs)
         report(f"partition-round-trip n={n}", good_part)
-        bound = max(cfg.exhaustive_bound, n)
         tree_t, map_t, _ = exact.brute_force_tables(n, max_size=bound)
         report(f"tree-table-matches-formula n={n}",
                tree_t.values == exact.tree_run_table(n).values)

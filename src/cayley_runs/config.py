@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .exact import DEFAULT_EXHAUSTIVE_BOUND
+
 
 @dataclass(frozen=True)
 class McTolerances:
@@ -27,7 +29,7 @@ class McTolerances:
 
 @dataclass(frozen=True)
 class Config:
-    exhaustive_bound: int = 7
+    exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND
     series_order: int = 12
     mc_tolerances: McTolerances = field(default_factory=McTolerances)
     rng_seed: int = 1729

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class InvalidTreeError(ValueError):
@@ -109,64 +108,54 @@ def make_tree(parent) -> CayleyTree:
         raise MultipleRootsError(f"multiple roots: {roots}")
     root = roots[0]
     # Every node must reach the root, so the root's self-loop is the only cycle.
-    for cycle in _cycles(parent):
+    for cycle in _cycles(parent)[0]:
         if cycle != [root]:
             raise CycleDetectedError(f"cycle through node {cycle[0]}")
     return CayleyTree(n=n, parent=parent, root=root)
 
 
-def _cycles(image: tuple[int, ...]) -> Iterator[list[int]]:
-    """Each cycle of the functional graph, as its nodes in walk order.
+def _cycles(image: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of the functional graph in walk order, and each node's basin.
 
-    One stamped walk from every unseen node: O(n) in total, since a node
-    is walked once.  A walk that meets itself has found a new cycle.
+    One stamped walk from every unseen node, O(n) in total.  A walk that
+    meets itself finds a new cycle; basin[v] is the 1-based number of the
+    cycle v's walk ends on.  Each weak component holds exactly one cycle,
+    so the basins are the components, numbered by their smallest node.
     """
     n = len(image)
-    state = [0] * (n + 1)  # 0 unseen, 1 on current walk, 2 done
+    basin = [0] * (n + 1)  # 0 unseen, -1 on the current walk, k in the basin of cycle k
+    cycles: list[list[int]] = []
     for s in range(1, n + 1):
-        if state[s]:
+        if basin[s]:
             continue
         walk = []
         u = s
-        while state[u] == 0:
-            state[u] = 1
+        while basin[u] == 0:
+            basin[u] = -1
             walk.append(u)
             u = image[u - 1]
-        if state[u] == 1:
-            yield walk[walk.index(u):]
+        if basin[u] == -1:
+            cycles.append(walk[walk.index(u):])
+            basin[u] = len(cycles)
+        k = basin[u]
         for x in walk:
-            state[x] = 2
+            basin[x] = k
+    return cycles, basin
 
 
 def cyclic_nodes(m: Mapping) -> frozenset[int]:
     """Nodes j with f^k(j) = j for some k >= 1."""
-    return frozenset(j for cycle in _cycles(m.image) for j in cycle)
+    return frozenset(j for cycle in _cycles(m.image)[0] for j in cycle)
 
 
 def components(m: Mapping) -> ComponentDecomposition:
     """Partition [n] into weakly connected components, ordered by smallest node."""
-    n = m.n
-    uf = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    for i in range(1, n + 1):
-        ri, rj = find(i), find(m.image[i - 1])
-        if ri != rj:
-            uf[ri] = rj
-
-    groups: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        groups.setdefault(find(v), []).append(v)
-    comps = sorted(groups.values(), key=min)
-    return ComponentDecomposition(
-        components=tuple(frozenset(c) for c in comps),
-        cyclic=cyclic_nodes(m),
-    )
+    cycles, basin = _cycles(m.image)
+    groups: list[list[int]] = [[] for _ in cycles]
+    for v in range(1, m.n + 1):
+        groups[basin[v] - 1].append(v)
+    return ComponentDecomposition(components=tuple(frozenset(c) for c in groups),
+                                  cyclic=frozenset(j for cycle in cycles for j in cycle))
 
 
 def preimages(m: Mapping, j: int) -> frozenset[int]:

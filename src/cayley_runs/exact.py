@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,12 +162,9 @@ def brute_force_tables(
     if n > max_size:
         raise SizeTooLargeError(f"n={n} exceeds exhaustive bound {max_size}")
     prefixes = list(itertools.product(range(1, n + 1), repeat=max(1, n - _FREE_ENTRIES)))
-    if workers <= 1 or len(prefixes) == 1:
-        tallies = _tally_blocks(n, prefixes)
-    else:
-        chunks = [prefixes[w::workers] for w in range(min(workers, len(prefixes)))]
-        with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
-            tallies = sum(pool.starmap(_tally_blocks, [(n, c) for c in chunks]))
+    workers = max(1, min(workers, len(prefixes)))
+    chunks = [(n, prefixes[w::workers]) for w in range(workers)]
+    tallies = kernels.pooled_sum(_tally_blocks, chunks, workers)
 
     def table(row: np.ndarray) -> CountTable:
         return CountTable(n=n, values={m: int(row[m]) for m in range(1, n + 1) if row[m]})

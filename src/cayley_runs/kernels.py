@@ -5,11 +5,26 @@ root self-parented).  Each kernel answers one question for every row at
 once, in numpy, and is cross-checked in the tests against the scalar
 per-value functions in ``core`` and ``runs``.  Entries must lie in
 [1, n]: callers generate them, and the kernels do not check them.
+``pooled_sum`` spreads such batched work over worker processes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
+
+
+def pooled_sum(func, jobs: list[tuple], workers: int):
+    """sum(func(*job) for job in jobs), on at most min(workers, len(jobs)) processes.
+
+    A pool uses the platform's default start method, so ``func`` must be
+    a module-level function that any start method can pickle.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        return sum(func(*job) for job in jobs)
+    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+        return sum(pool.starmap(func, jobs))
 
 
 def run_counts(images: np.ndarray) -> np.ndarray:

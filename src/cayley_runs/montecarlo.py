@@ -15,7 +15,6 @@ exercises the bijection inside the sampling hot path.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +80,7 @@ def _chunk_layout(n: int, samples: int) -> list[int]:
     return sizes
 
 
-def _chunk_histogram(args) -> np.ndarray:
-    n, rows, seed_seq, use_trees = args
+def _chunk_histogram(n: int, rows: int, seed_seq, use_trees: bool) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     arr = rng.integers(1, n + 1, size=(rows, n))
     if use_trees:
@@ -112,14 +110,7 @@ def run_statistics(
     sizes = _chunk_layout(n, samples)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     jobs = [(n, rows, s, use_trees) for rows, s in zip(sizes, seeds)]
-    if workers <= 1 or len(jobs) == 1:
-        parts = [_chunk_histogram(job) for job in jobs]
-    else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_chunk_histogram, jobs)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for p in parts:
-        hist += p
+    hist = kernels.pooled_sum(_chunk_histogram, jobs, workers)
     support = np.nonzero(hist)[0]
     s1 = int((support * hist[support]).sum())
     s2 = int((support.astype(object) ** 2 * hist[support]).sum())

@@ -16,6 +16,7 @@ import scipy.stats
 
 from cayley_runs import (
     MarkedTree,
+    McTolerances,
     brute_force_tables,
     check_aux_tree_relation,
     check_exp_connected_is_mapping,
@@ -198,8 +199,10 @@ def test_criterion_09_monte_carlo_limit_law():
     mean_err = abs(stats.mean / n - 0.6321)
     var_err = abs(stats.variance / n - 0.0972)
     ks = normality_check(stats).ks_statistic
-    ok = mean_err <= 0.005 and var_err <= 0.015 and ks <= 0.02
-    _report(9, "n=1000 sample: |mean/n-0.6321|<=5e-3, |var/n-0.0972|<=1.5e-2, KS<=0.02",
+    tol = McTolerances()  # the pre-registered values
+    ok = mean_err <= tol.mean_over_n and var_err <= tol.variance_over_n and ks <= tol.ks
+    _report(9, f"n=1000 sample: |mean/n-0.6321|<={tol.mean_over_n}, "
+               f"|var/n-0.0972|<={tol.variance_over_n}, KS<={tol.ks}",
             ok, f"mean_err={mean_err:.4f} var_err={var_err:.4f} ks={ks:.4f} "
                 f"{time.time() - t0:.1f}s")
 

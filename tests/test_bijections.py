@@ -240,6 +240,26 @@ def test_encode_decode_cover_all_valid_pairs(n):
     assert total == n ** n  # the pairs biject onto all mappings
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_decode_rejects_exactly_the_forbidden_links(n):
+    # decode validates by re-encoding; the explicit forbidden sets are the oracle
+    from cayley_runs.bijections import _set_partitions
+
+    for m in range(1, n + 1):
+        for raw in _set_partitions(n, m):
+            partition = make_partition(
+                sorted((frozenset(b) for b in raw), key=max, reverse=True))
+            bad = forbidden_links(partition)
+            for links in itertools.product(range(1, n + 1), repeat=m):
+                forbidden = any(nj in b for nj, b in zip(links, bad))
+                try:
+                    decode_partition(partition, links)
+                    rejected = False
+                except InvalidLinkSequenceError:
+                    rejected = True
+                assert rejected == forbidden, (partition, links)
+
+
 @pytest.mark.parametrize("n,m,expected", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 18)])
 def test_count_valid_pairs_examples(n, m, expected):
     assert count_valid_pairs(n, m) == expected

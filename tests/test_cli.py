@@ -142,6 +142,14 @@ def test_verify_all_small(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_is_bounded(capsys):
+    # n-max above the exhaustive bound is refused before any check runs
+    assert run_cli(["verify-all", "--n-max", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_asymptotics_json(capsys):
     code, out = run(capsys, "asymptotics", "--v", "1.0", "--constants")
     assert code == 0

@@ -90,9 +90,17 @@ def test_components_partition_and_cyclic_union(m):
     seen = sorted(v for c in decomp.components for v in c)
     assert seen == list(range(1, m.n + 1))
     assert frozenset().union(*decomp.components) >= decomp.cyclic
-    # every component holds at least one cyclic node
     for c in decomp.components:
-        assert c & decomp.cyclic
+        # closed under f, so no edge leaves the component
+        assert all(m.apply(v) in c for v in c)
+        # its cyclic nodes form exactly one cycle
+        on_cycle = c & decomp.cyclic
+        start = min(on_cycle)
+        orbit, u = [start], m.apply(start)
+        while u != start:
+            orbit.append(u)
+            u = m.apply(u)
+        assert len(orbit) == len(on_cycle) and set(orbit) == on_cycle
 
 
 @given(mappings)
