@@ -73,7 +73,6 @@ from .montecarlo import (
 from .runs import RunProfile, count_ascents, run_starts_mapping, run_starts_tree
 from .series import (
     BivariateSeries,
-    VPoly,
     auxiliary_series,
     check_aux_tree_relation,
     check_exp_connected_is_mapping,

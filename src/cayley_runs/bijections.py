@@ -203,6 +203,8 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     image = [0] * n
     for block, nj in zip(s.blocks, x):
         run = sorted(block)
+        if not run or run[0] < 1 or run[-1] > n:
+            raise LabelOutOfRangeError(f"block {run} is empty or leaves [1, {n}]")
         for a, b in zip(run, run[1:]):
             image[a - 1] = b
         image[run[-1] - 1] = nj

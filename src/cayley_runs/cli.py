@@ -136,6 +136,8 @@ def _cmd_table(args, cfg: Config) -> int:
         table = exact.mapping_run_table(n)
     else:
         # no closed form for connected counts; extract them from the series
+        if n < 1:
+            raise ValueError("n must be positive")
         table = series.series_count_table(series.connected_series(n), n)
     for m in sorted(table.values):
         print(f"{n},{m},{table.values[m]}")
@@ -152,9 +154,7 @@ def _cmd_series(args, cfg: Config) -> int:
     }[args.which]
     s = solver(order)
     for n in range(order + 1):
-        poly = s.coefficient(n)
-        for m in range(poly.degree + 1):
-            x = poly[m]
+        for m, x in enumerate(s.coefficient(n)):
             if x:
                 print(f"{n},{m},{x.numerator},{x.denominator}")
     return 0
@@ -218,6 +218,8 @@ def _cmd_verify_all(args, cfg: Config) -> int:
 
     n_max = args.n_max
     bound = cfg.exhaustive_bound
+    if n_max < 1:
+        raise ValueError(f"n-max={n_max} must be positive")
     if n_max > bound:
         raise exact.SizeTooLargeError(f"n-max={n_max} exceeds exhaustive bound {bound}")
     ok = True

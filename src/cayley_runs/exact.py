@@ -100,10 +100,14 @@ def tree_runs_alternating(n: int, m: int) -> int:
 
 
 def tree_run_table(n: int) -> CountTable:
+    if n < 1:
+        raise ValueError("n must be positive")
     return CountTable(n=n, values={m: tree_runs(n, m) for m in range(1, n + 1)})
 
 
 def mapping_run_table(n: int) -> CountTable:
+    if n < 1:
+        raise ValueError("n must be positive")
     return CountTable(n=n, values={m: mapping_runs(n, m) for m in range(1, n + 1)})
 
 

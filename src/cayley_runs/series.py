@@ -1,17 +1,18 @@
 """Exact truncated bivariate power series and the run-counting functional equations.
 
-Series are truncated at a fixed order N in the size variable z; each z
-coefficient is a polynomial in the run-marking variable v with exact
-rational coefficients.  No floating point enters this module: every
-identity check below is an exact coefficient-wise comparison.
+Every series here counts labelled objects, so it is held in one format:
+its EGF integers.  A series truncated at order N in the size variable z
+stores, for each n <= N, the integers n! [z^n v^m] as a polynomial in the
+run-marking variable v.  No floating point and no rational arithmetic
+enters this module; fractions appear only where ``coefficient`` returns
+[z^n v^m] itself, for output.
 
-The solvers never iterate to a fixed point.  They hold a series S as
-its EGF-scaled integers n! [z^n] S (polynomials in v with integer
-coefficients) and compute each coefficient once, in increasing n, from
-lower ones by binomial convolutions (online evaluation of the
-functional equation); the result is converted to a Fraction
-BivariateSeries once, on return.  The identity checks use the
-BivariateSeries arithmetic, a second and independent implementation.
+The solvers never iterate to a fixed point.  They compute each
+coefficient once, in increasing n, from lower ones by binomial
+convolutions (online evaluation of the functional equation), and return
+their integer rows as a BivariateSeries.  The identity checks use the
+BivariateSeries arithmetic, whose EGF product and exponential are coded
+apart from the solvers' helpers: a second, independent implementation.
 
 The four generating functions handled here, with counts recovered as
 n! [z^n v^m]:
@@ -31,175 +32,105 @@ from fractions import Fraction
 
 from .exact import CountTable
 
-Rational = int | Fraction
 
+def _vpoly_sum(terms) -> list[int]:
+    """Sum of c p q over the (c, p, q) in terms, for integer polynomials p, q in v.
 
-class VPoly:
-    """Polynomial in the marking variable v with Fraction coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c: tuple[Fraction, ...] = tuple(c)
-
-    @classmethod
-    def const(cls, x: Rational) -> "VPoly":
-        return cls((x,))
-
-    @classmethod
-    def v(cls) -> "VPoly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.c[k] if 0 <= k < len(self.c) else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = VPoly((other,))
-        return isinstance(other, VPoly) and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash(self.c)
-
-    def __add__(self, other) -> "VPoly":
-        if isinstance(other, (int, Fraction)):
-            other = VPoly((other,))
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        return VPoly([x + (b[k] if k < len(b) else 0) for k, x in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "VPoly":
-        return VPoly([-x for x in self.c])
-
-    def __sub__(self, other) -> "VPoly":
-        return self + (-other if isinstance(other, VPoly) else VPoly((-Fraction(other),)))
-
-    def __rsub__(self, other) -> "VPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "VPoly":
-        if isinstance(other, (int, Fraction)):
-            return VPoly([x * other for x in self.c])
-        out = [Fraction(0)] * (len(self.c) + len(other.c))
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    out[i + j] += a * b
-        return VPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Rational) -> "VPoly":
-        return VPoly([x / other for x in self.c])
-
-    def deriv(self) -> "VPoly":
-        return VPoly([k * x for k, x in enumerate(self.c)][1:])
-
-    def __call__(self, value: Rational) -> Fraction:
-        acc = Fraction(0)
-        for a in reversed(self.c):
-            acc = acc * value + a
-        return acc
-
-    def __repr__(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for k, a in enumerate(self.c):
-            if a:
-                parts.append(f"{a}" if k == 0 else (f"{a}*v^{k}" if k > 1 else f"{a}*v"))
-        return " + ".join(parts)
-
-
-_ZERO = VPoly()
-_ONE = VPoly((1,))
+    Kept apart from the solvers' ``_binomial_conv`` so that the identity
+    checks share no arithmetic with the solvers they check.
+    """
+    out: list[int] = []
+    for c, p, q in terms:
+        if not p or not q:
+            continue
+        out += [0] * (len(p) + len(q) - 1 - len(out))
+        for i, x in enumerate(p):
+            if x:
+                x *= c
+                for l, y in enumerate(q):
+                    out[i + l] += x * y
+    return out
 
 
 class BivariateSeries:
-    """Power series in z truncated at a fixed order, with VPoly coefficients."""
+    """Power series in z truncated at a fixed order, held as its EGF integers.
 
-    __slots__ = ("order", "coeffs")
+    ``egf[n]`` is the tuple of n! [z^n v^m] for m = 0, 1, ..., with
+    trailing zeros trimmed.  Products are EGF products, so a series is
+    multiplied without ever leaving the integers.
+    """
 
-    def __init__(self, order: int, coeffs=None):
+    __slots__ = ("order", "egf")
+
+    def __init__(self, order: int, rows=()):
         if order < 0:
             raise ValueError("order must be non-negative")
+        egf = []
+        for row in list(rows)[: order + 1]:
+            row = list(row)
+            if any(type(x) is not int for x in row):  # bool is an int subclass
+                raise TypeError("EGF coefficients must be integers")
+            while row and row[-1] == 0:
+                row.pop()
+            egf.append(tuple(row))
+        egf += [()] * (order + 1 - len(egf))
         self.order = order
-        cs = list(coeffs) if coeffs is not None else []
-        cs = [c if isinstance(c, VPoly) else VPoly.const(c) for c in cs[: order + 1]]
-        cs += [_ZERO] * (order + 1 - len(cs))
-        self.coeffs: tuple[VPoly, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls(order)
+        self.egf: tuple[tuple[int, ...], ...] = tuple(egf)
 
     @classmethod
     def one(cls, order: int) -> "BivariateSeries":
-        return cls(order, [_ONE])
+        return cls(order, [(1,)])
 
     @classmethod
     def z(cls, order: int) -> "BivariateSeries":
-        return cls(order, [_ZERO, _ONE])
+        return cls(order, [(), (1,)])
 
     @classmethod
     def v(cls, order: int) -> "BivariateSeries":
-        return cls(order, [VPoly.v()])
+        return cls(order, [(0, 1)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BivariateSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
+                and self.order == other.order and self.egf == other.egf)
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+    def __repr__(self) -> str:
+        return f"BivariateSeries({self.order}, {self.egf})"
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.egf)
 
-    def coefficient(self, n: int, m: int | None = None):
-        """[z^n] as a VPoly, or the exact rational [z^n v^m] when m is given."""
-        if not 0 <= n <= self.order:
-            raise IndexError(f"z-order {n} outside truncation {self.order}")
-        return self.coeffs[n] if m is None else self.coeffs[n][m]
+    def coefficient(self, n: int) -> tuple[Fraction, ...]:
+        """[z^n v^m] for m = 0, 1, ..., as exact rationals."""
+        row = self._row(n)
+        fact = math.factorial(n)
+        return tuple(Fraction(x, fact) for x in row)
 
     def count(self, n: int, m: int) -> int:
-        """n! [z^n v^m], which must be an integer for counting series."""
-        x = self.coefficient(n, m) * math.factorial(n)
-        if x.denominator != 1:
-            raise ValueError(f"n![z^{n}v^{m}] = {x} is not an integer")
-        return x.numerator
+        """n! [z^n v^m]."""
+        row = self._row(n)
+        return row[m] if 0 <= m < len(row) else 0
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        if not 0 <= n <= self.order:
+            raise IndexError(f"z-order {n} outside truncation {self.order}")
+        return self.egf[n]
 
     def _lift(self, other) -> "BivariateSeries":
-        if isinstance(other, BivariateSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BivariateSeries(self.order, [VPoly.const(other)])
-        if isinstance(other, VPoly):
-            return BivariateSeries(self.order, [other])
-        return NotImplemented
+        return BivariateSeries(self.order, [(other,)]) if isinstance(other, int) else other
 
     def __add__(self, other) -> "BivariateSeries":
         other = self._lift(other)
-        order = min(self.order, other.order)
-        return BivariateSeries(
-            order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        rows = []
+        for p, q in zip(self.egf, other.egf):
+            if len(p) < len(q):
+                p, q = q, p
+            rows.append([x + q[i] if i < len(q) else x for i, x in enumerate(p)])
+        return BivariateSeries(min(self.order, other.order), rows)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries(self.order, [-c for c in self.coeffs])
+        return BivariateSeries(self.order, [[-x for x in p] for p in self.egf])
 
     def __sub__(self, other) -> "BivariateSeries":
         return self + (-self._lift(other))
@@ -208,95 +139,44 @@ class BivariateSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "BivariateSeries":
-        if isinstance(other, (int, Fraction, VPoly)):
-            return BivariateSeries(self.order, [c * other for c in self.coeffs])
+        """EGF product: k! [z^k] of AB is sum_j C(k, j) a_j b_{k-j}."""
+        other = self._lift(other)
         order = min(self.order, other.order)
-        out = [_ZERO] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return BivariateSeries(order, out)
+        a, b = self.egf, other.egf
+        return BivariateSeries(order, [
+            _vpoly_sum((math.comb(k, j), a[j], b[k - j]) for j in range(k + 1))
+            for k in range(order + 1)])
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "BivariateSeries":
-        """Reciprocal; requires the z^0 coefficient to be the constant 1."""
-        if self.coeffs[0] != _ONE:
-            raise ValueError("reciprocal needs constant term 1")
-        out = [_ONE] + [_ZERO] * self.order
-        for k in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                if not self.coeffs[j].is_zero():
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -acc
-        return BivariateSeries(self.order, out)
-
-    def __truediv__(self, other) -> "BivariateSeries":
-        if isinstance(other, (int, Fraction)):
-            return BivariateSeries(self.order, [c / other for c in self.coeffs])
-        return self * other.inverse()
-
     def exp(self) -> "BivariateSeries":
-        """Exponential; requires zero constant term.  e_k = (1/k) sum j a_j e_{k-j}."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("exp needs zero constant term")
-        out = [_ONE] + [_ZERO] * self.order
-        for k in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                if not self.coeffs[j].is_zero():
-                    acc = acc + (self.coeffs[j] * j) * out[k - j]
-            out[k] = acc / k
-        return BivariateSeries(self.order, out)
+        """Exponential; requires zero constant term.
 
-    def log(self) -> "BivariateSeries":
-        """Logarithm; requires constant term 1.  l_k = a_k - (1/k) sum j l_j a_{k-j}."""
-        if self.coeffs[0] != _ONE:
-            raise ValueError("log needs constant term 1")
-        out = [_ZERO] * (self.order + 1)
+        From E' = S' E: e_k = sum_{j=1..k} C(k-1, j-1) s_j e_{k-j}.
+        """
+        s = self.egf
+        if s[0]:
+            raise ValueError("exp needs zero constant term")
+        e = [(1,)]
         for k in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, k):
-                if not out[j].is_zero():
-                    acc = acc + (out[j] * j) * self.coeffs[k - j]
-            out[k] = self.coeffs[k] - acc / k
-        return BivariateSeries(self.order, out)
+            e.append(_vpoly_sum((math.comb(k - 1, j - 1), s[j], e[k - j])
+                                for j in range(1, k + 1)))
+        return BivariateSeries(self.order, e)
 
     def diff_z(self) -> "BivariateSeries":
-        """d/dz; drops the truncation order by one."""
+        """d/dz, one order lower: n! [z^n] S' = (n+1)! [z^(n+1)] S, a shift of the rows."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 truncation")
-        return BivariateSeries(
-            self.order - 1,
-            [self.coeffs[k + 1] * (k + 1) for k in range(self.order)])
-
-    def integrate_z(self) -> "BivariateSeries":
-        """Antiderivative with zero constant term, at order one higher."""
-        return BivariateSeries(
-            self.order + 1,
-            [_ZERO] + [self.coeffs[k] / (k + 1) for k in range(self.order + 1)])
+        return BivariateSeries(self.order - 1, self.egf[1:])
 
     def diff_v(self) -> "BivariateSeries":
-        return BivariateSeries(self.order, [c.deriv() for c in self.coeffs])
-
-    def eval_v(self, value: Rational) -> tuple[Fraction, ...]:
-        """Substitute a rational for v, leaving exact univariate z coefficients."""
-        return tuple(c(value) for c in self.coeffs)
+        return BivariateSeries(self.order, [[m * x for m, x in enumerate(p)][1:]
+                                            for p in self.egf])
 
     def truncate(self, order: int) -> "BivariateSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return BivariateSeries(order, self.coeffs[: order + 1])
-
-    def __repr__(self) -> str:
-        terms = [f"({c!r}) z^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
-        return " + ".join(terms) if terms else "0"
+        return BivariateSeries(order, self.egf[: order + 1])
 
 
 def _add(p: list[int], q: list[int], c: int = 1) -> list[int]:
@@ -341,22 +221,6 @@ def _log(p: list, order: int) -> list:
     return out
 
 
-def _to_series(s: list, order: int) -> BivariateSeries:
-    """The public Fraction form [z^n] = s[n] / n! of the EGF integers s."""
-    coeffs = []
-    fact = 1
-    for n, p in enumerate(s):
-        fact *= n or 1
-        coeffs.append(VPoly([Fraction(x, fact) for x in p]))
-    return BivariateSeries(order, coeffs)
-
-
-def _from_series(s: BivariateSeries) -> list:
-    """The EGF-scaled integers n! [z^n v^m] of a counting series."""
-    return [[s.count(n, m) for m in range(s.coefficient(n).degree + 1)]
-            for n in range(s.order + 1)]
-
-
 def _exp_of(a: list, order: int) -> list:
     """e^S up to z^order from the EGF integers a of S (zero constant term)."""
     e: list = [[1]]
@@ -378,7 +242,7 @@ def auxiliary_series(order: int) -> BivariateSeries:
     for n in range(2, order + 1):
         e.append(_exp_next(a, e))
         a.append([0] + [n * x for x in e[n - 1]])
-    return _to_series(a, order)
+    return BivariateSeries(order, a)
 
 
 def tree_series(order: int) -> BivariateSeries:
@@ -400,7 +264,7 @@ def tree_series(order: int) -> BivariateSeries:
         ef.append(_exp_next(f, ef))
         g.append(ef[k])
         f.append(_add(g[k], _binomial_conv(k - 1, g, f[1:], range(k)), k))
-    return _to_series(f, order)
+    return BivariateSeries(order, f)
 
 
 def mapping_series(order: int) -> BivariateSeries:
@@ -409,12 +273,12 @@ def mapping_series(order: int) -> BivariateSeries:
     With t_j = j! [z^j] z v e^A = j v e_{j-1}, the reciprocal R = 1 + T R
     gives r_0 = 1 and r_n = sum_{j=1..n} C(n, j) t_j r_{n-j}.
     """
-    e = _exp_of(_from_series(auxiliary_series(order)), order - 1)
+    e = _exp_of(auxiliary_series(order).egf, order - 1)
     t = [[]] + [[0] + [j * x for x in e[j - 1]] for j in range(1, order + 1)]
     r: list = [[1]]
     for n in range(1, order + 1):
         r.append(_binomial_conv(n, t, r, range(1, n + 1)))
-    return _to_series(r, order)
+    return BivariateSeries(order, r)
 
 
 def connected_series(order: int) -> BivariateSeries:
@@ -424,13 +288,13 @@ def connected_series(order: int) -> BivariateSeries:
     constant term 1, so each log follows from P' = L' P coefficient by
     coefficient over the EGF integers, and the series is their difference.
     """
-    a = _from_series(auxiliary_series(order))
+    a = auxiliary_series(order).egf
     e = _exp_of(a, order)
     numer = [[1]] + [[0] + e[k] for k in range(1, order + 1)]
     denom = [[1]] + [[0] + _add(e[k], _binomial_conv(k, a, e, range(1, k + 1)), -1)
                      for k in range(1, order + 1)]
     c = [_add(p, q, -1) for p, q in zip(_log(numer, order), _log(denom, order))]
-    return _to_series(c, order)
+    return BivariateSeries(order, c)
 
 
 def pde_residual(f: BivariateSeries) -> BivariateSeries:
@@ -449,10 +313,10 @@ def pde_residual(f: BivariateSeries) -> BivariateSeries:
 
 
 def check_mapping_from_tree_derivative(order: int) -> bool:
-    """Mapping series = 1 + z dF/dz coefficient-wise, i.e. each mapping count is n times the tree count."""
+    """Mapping series = 1 + z dF/dz: n! [z^n] z F' = n f_n, so each mapping count is n times the tree count."""
     f = tree_series(order)
     r = mapping_series(order)
-    z_fz = BivariateSeries(order, [c * k for k, c in enumerate(f.coeffs)])
+    z_fz = BivariateSeries(order, [[k * x for x in p] for k, p in enumerate(f.egf)])
     return (r - 1 - z_fz).is_zero()
 
 

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from cayley_runs import (
     InvalidLinkSequenceError,
+    LabelOutOfRangeError,
     MarkedTree,
+    OrderedSetPartition,
     SizeTooLargeError,
     count_valid_pairs,
     decode_partition,
@@ -186,6 +188,16 @@ def test_decode_rejects_malformed_sequences():
         decode_partition(p, (2,))
     with pytest.raises(InvalidLinkSequenceError):
         decode_partition(p, (2, 3))
+
+
+@pytest.mark.parametrize("blocks, links", [
+    ((frozenset({3}),), (1,)),  # label above n
+    ((frozenset({0, 1}),), (1,)),  # label 0
+])
+def test_decode_rejects_labels_outside_range(blocks, links):
+    # a partition built directly, without the checks in make_partition
+    with pytest.raises(LabelOutOfRangeError):
+        decode_partition(OrderedSetPartition(blocks), links)
 
 
 def test_make_partition_validation():

@@ -103,6 +103,16 @@ def test_table_respects_bound(capsys):
     assert code == 0  # closed form has no exhaustive bound
 
 
+@pytest.mark.parametrize("kind", ["tree", "mapping", "connected"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_table_rejects_non_positive_n(capsys, kind, n):
+    for extra in ([], ["--oracle"]):
+        assert run_cli(["table", "--kind", kind, "--n", n, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_series_csv(capsys):
     code, out = run(capsys, "series", "--which", "F", "--order", "4")
     assert code == 0
@@ -145,6 +155,15 @@ def test_verify_all_small(capsys):
 def test_verify_all_is_bounded(capsys):
     # n-max above the exhaustive bound is refused before any check runs
     assert run_cli(["verify-all", "--n-max", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_verify_all_rejects_non_positive_n_max(capsys, n_max):
+    # a run with no sizes to check must not report success
+    assert run_cli(["verify-all", "--n-max", n_max]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

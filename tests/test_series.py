@@ -5,7 +5,6 @@ import pytest
 
 from cayley_runs import (
     BivariateSeries,
-    VPoly,
     auxiliary_series,
     brute_force_tables,
     check_aux_tree_relation,
@@ -20,33 +19,38 @@ from cayley_runs import (
     tree_runs_alternating,
     tree_series,
 )
+from cayley_runs import series
+from cayley_runs.cli import run_cli
 
 F = Fraction
 
 
-def test_vpoly_arithmetic():
-    v = VPoly.v()
+def test_v_polynomial_arithmetic():
+    # at z-order 0 a series is a polynomial in v: p = 2 v^2 + v - 1
+    v = BivariateSeries.v(0)
     p = 2 * v * v + v - 1
-    assert p[2] == 2 and p[1] == 1 and p[0] == -1
-    assert p(2) == 9
-    assert p.deriv() == 4 * v + 1
+    assert p.egf == ((-1, 1, 2),)
+    assert p.count(0, 2) == 2 and p.count(0, 3) == 0 and p.count(0, -1) == 0
+    assert p.diff_v() == 4 * v + 1
     assert (v - v).is_zero()
-    assert VPoly((F(1, 2),)) * 2 == VPoly.const(1)
-    assert (v * v).degree == 2
-    assert VPoly().degree == -1
+    assert (v * v).egf == ((0, 0, 1),)
+    assert BivariateSeries(0, [(0, 0)]).egf == ((),)  # trailing zeros are trimmed
 
 
 def test_series_arithmetic_identities():
     order = 8
     z = BivariateSeries.z(order)
     v = BivariateSeries.v(order)
-    s = z * v + z * z * VPoly((0, 0, F(1, 2)))
-    assert s.exp().log() == s
-    u = BivariateSeries.one(order) + s
-    assert (u * u.inverse() - 1).is_zero()
-    assert (u / u - 1).is_zero()
-    assert s.integrate_z().diff_z() == s
-    assert s.diff_v().coefficient(1) == VPoly.const(1)
+    a = z * v + z * z * v * v
+    b = z * z * z * (1 - v)
+    assert (z * z).egf[2] == (2,)  # 2! [z^2] z^2
+    assert z.exp().egf == ((1,),) * (order + 1)  # n! [z^n] e^z = 1
+    assert (a + b).exp() == a.exp() * b.exp()
+    low = order - 1
+    assert (a * b).diff_z() == a.diff_z() * b.truncate(low) + a.truncate(low) * b.diff_z()
+    assert (a * b).diff_v() == a.diff_v() * b + a * b.diff_v()
+    assert a.diff_v().coefficient(1) == (1,)
+    assert a.coefficient(2) == (0, 0, 1)
 
 
 def test_series_guards():
@@ -56,27 +60,30 @@ def test_series_guards():
     with pytest.raises(ValueError):
         (one + z).exp()  # nonzero constant term
     with pytest.raises(ValueError):
-        (z + z * z).log()  # constant term not 1
-    with pytest.raises(ValueError):
-        (2 * one).inverse()  # normalization is rejected, not silent
-    with pytest.raises(ValueError):
         z.truncate(9)
     with pytest.raises(ValueError):
-        BivariateSeries.zero(0).diff_z()
-
-
-def test_count_requires_integrality():
-    s = BivariateSeries(2, [VPoly(), VPoly((F(1, 3),))])
+        BivariateSeries(0).diff_z()
     with pytest.raises(ValueError):
-        s.count(1, 0)
+        BivariateSeries(-1)
+    with pytest.raises(IndexError):
+        z.count(order + 1, 0)
+    with pytest.raises(IndexError):
+        z.coefficient(-1)
+
+
+def test_constructor_requires_integers():
+    for bad in (F(1, 3), F(2), True, 1.0):
+        with pytest.raises(TypeError):
+            BivariateSeries(2, [(), (0, bad)])
 
 
 def test_auxiliary_series_hand_coefficients():
     h = auxiliary_series(5)
-    assert h.coefficient(0).is_zero()
-    assert h.coefficient(1) == VPoly.const(1)
-    assert h.coefficient(2) == VPoly.v()
-    assert h.coefficient(3) == VPoly((0, F(1, 2), 1))  # v/2 + v^2
+    assert h.egf[0] == ()
+    assert h.egf[1] == (1,)
+    assert h.egf[2] == (0, 2)  # 2! v
+    assert h.egf[3] == (0, 3, 6)  # 3! (v/2 + v^2)
+    assert h.coefficient(3) == (0, F(1, 2), 1)
 
 
 def test_auxiliary_series_matches_lagrange_inversion():
@@ -101,12 +108,12 @@ def test_tree_series_counts():
     for n in range(1, 11):
         for m in range(1, n + 1):
             assert f.count(n, m) == tree_runs(n, m)
-        assert f.coefficient(n).degree <= n
+        assert len(f.egf[n]) <= n + 1
 
 
 def test_mapping_series_counts():
     r = mapping_series(10)
-    assert r.coefficient(0) == VPoly.const(1)
+    assert r.egf[0] == (1,)
     assert r.count(2, 1) == 2 and r.count(2, 2) == 2
     assert r.count(3, 2) == 18
     for n in range(1, 11):
@@ -125,8 +132,8 @@ def test_marker_set_to_one_gives_plain_counts():
     f = tree_series(9)
     r = mapping_series(9)
     for n in range(1, 10):
-        assert f.eval_v(1)[n] * math.factorial(n) == n ** (n - 1)
-        assert r.eval_v(1)[n] * math.factorial(n) == n ** n
+        assert sum(f.egf[n]) == n ** (n - 1)
+        assert sum(r.egf[n]) == n ** n
 
 
 def test_pde_residual_zero():
@@ -137,7 +144,7 @@ def test_pde_residual_zero():
 def test_pde_residual_negative_control():
     residual = pde_residual(auxiliary_series(6))
     assert not residual.is_zero()
-    low = next(k for k, c in enumerate(residual.coeffs) if not c.is_zero())
+    low = next(k for k, p in enumerate(residual.egf) if p)
     assert low <= 2
 
 
@@ -149,7 +156,7 @@ def test_structural_checks():
 
 def test_connected_series_counts_match_brute_force():
     c = connected_series(6)
-    assert c.coefficient(0).is_zero()
+    assert c.egf[0] == ()
     assert c.count(2, 1) == 2 and c.count(2, 2) == 1
     for n in range(1, 7):
         conn = brute_force_tables(n)[2]
@@ -159,7 +166,8 @@ def test_connected_series_counts_match_brute_force():
 def test_naive_connected_guess_is_falsified():
     # ln(1/(1 - F)) does not count connected mappings by runs
     order = 4
-    naive = -((BivariateSeries.one(order) - tree_series(order)).log())
+    one_minus_f = [[1]] + [[-x for x in p] for p in tree_series(order).egf[1:]]
+    naive = BivariateSeries(order, [[-x for x in p] for p in series._log(one_minus_f, order)])
     conn = brute_force_tables(2)[2]
     naive_n2 = {m: naive.count(2, m) for m in (1, 2)}
     assert naive_n2 == {1: 1, 2: 2}
@@ -170,5 +178,36 @@ def test_naive_connected_guess_is_falsified():
 def test_connected_series_at_one_counts_connected_mappings():
     c = connected_series(6)
     for n in range(1, 7):
-        total = c.eval_v(1)[n] * math.factorial(n)
-        assert total == brute_force_tables(n)[2].total()
+        assert sum(c.egf[n]) == brute_force_tables(n)[2].total()
+
+
+def _plain_conv(k, a, b, js):
+    """The solvers' convolution without its binomial weights C(k, j)."""
+    out = []
+    for j in js:
+        p, q = a[j], b[k - j]
+        if not p or not q:
+            continue
+        out += [0] * (len(p) + len(q) - 1 - len(out))
+        for i, x in enumerate(p):
+            for l, y in enumerate(q):
+                out[i + l] += x * y
+    return out
+
+
+def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
+    # the identity checks run on BivariateSeries arithmetic, not on the solvers'
+    # helpers, so a fault in those helpers must fail every check
+    assert run_cli(["verify-series", "--order", "8"]) == 0
+    assert capsys.readouterr().out.count("PASS ") == 4
+    f = tree_series(8)
+    monkeypatch.setattr(series, "_binomial_conv", _plain_conv)
+    assert run_cli(["verify-series", "--order", "8"]) == 1
+    assert capsys.readouterr().out.count("FAIL ") == 4
+
+    def unusable(*args):
+        raise AssertionError("the series arithmetic called a solver helper")
+
+    for name in ("_binomial_conv", "_exp_next", "_log", "_exp_of"):
+        monkeypatch.setattr(series, name, unusable)
+    assert pde_residual(f).is_zero()
