@@ -187,8 +187,8 @@ def clt_constants(h: float = 1e-3) -> CltConstants:
     mu and sigma2 are U'(0) and U''(0); both are validated against their
     closed forms within max(10 h^2, 1e-8) and against the implicit
     tau'(1), tau''(1) displays, trusting the finite differences if the
-    displays were transcribed wrong.  V'(0) and V''(0) have no closed
-    form here and are reported as numbers only.
+    displays were transcribed wrong.  V'(0) and V''(0) are returned as
+    computed; the tests hold them to 1/(2e) and 3/(2e^2) - 1/(2e).
     """
     if not 0.0 < h <= 1e-3:
         raise StepTooLargeError(f"h={h} outside (0, 1e-3]")

@@ -15,6 +15,7 @@ Decoding validates a pair by re-encoding the mapping it builds;
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -200,6 +201,9 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     for nj in x:
         if type(nj) is not int or not 1 <= nj <= n:
             raise InvalidLinkSequenceError(f"link {nj!r} outside [1, {n}]")
+    # one pass over all labels before any block is sorted; bool, float and str are not int
+    if set(map(type, itertools.chain.from_iterable(s.blocks))) != {int}:
+        raise LabelOutOfRangeError("block labels must be ints")
     image = [0] * n
     for block, nj in zip(s.blocks, x):
         run = sorted(block)

@@ -1,17 +1,17 @@
 """Exact run counting: Stirling-number closed forms, moments, brute-force oracles.
 
-The closed forms and moments are big-integer or exact-rational
-arithmetic; the counts overflow any fixed width long before n = 50.  The
-brute-force tallies enumerate raw arrays through the numpy kernels
-(their int64 tallies hold n^n for every size the scan can reach) and
-are the independent ground truth the closed forms are checked against.
+Closed forms and moments are exact big-integer or rational arithmetic.  Stirling
+numbers are built one row at a time; the moments are closed forms over the
+run-start indicators, with the Stirling sum as their test oracle.  Brute-force
+tallies scan raw arrays through the numpy kernels (int64 holds n^n at every size
+the scan reaches) and are the ground truth the closed forms are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,24 +44,20 @@ class ExactMoments:
     variance: Fraction
 
 
-_stirling_rows: list[list[int]] = [[1]]  # _stirling_rows[n][m] = S(n, m)
-_stirling_lock = threading.Lock()
+@functools.lru_cache(maxsize=1)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)) by S(k, j) = j S(k-1, j) + S(k-1, j-1), one row kept."""
+    row = [1]
+    for k in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k)] + [1]
+    return tuple(row)
 
 
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into m blocks."""
     if m < 0 or n < 0 or m > n:
         return 0
-    if len(_stirling_rows) <= n:
-        with _stirling_lock:
-            while len(_stirling_rows) <= n:
-                k = len(_stirling_rows)
-                prev = _stirling_rows[-1]
-                row = [0] * (k + 1)
-                for j in range(1, k + 1):
-                    row[j] = j * (prev[j] if j < k else 0) + prev[j - 1]
-                _stirling_rows.append(row)
-    return _stirling_rows[n][m]
+    return _stirling_row(n)[m]
 
 
 def falling_factorial(n: int, m: int) -> int:
@@ -112,14 +108,18 @@ def mapping_run_table(n: int) -> CountTable:
 
 
 def exact_moments(n: int) -> ExactMoments:
-    """Mean and variance of the run count under the uniform mapping distribution."""
+    """Mean and variance of the run count under the uniform mapping distribution.
+
+    Node j starts a run w.p. (b/n)^(j-1), b = n - 1, and j < k both do w.p.
+    (a/n)^(j-1) (b/n)^(k-j), a = n - 2.  The geometric sums give, over
+    d = n^(n-1), d E[X] = n^n - b^n and d E[X(X-1)] = b (n^n - 2 b^n + a^n).
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    total = n ** n
-    s1 = sum(m * mapping_runs(n, m) for m in range(1, n + 1))
-    s2 = sum(m * m * mapping_runs(n, m) for m in range(1, n + 1))
-    mean = Fraction(s1, total)
-    return ExactMoments(mean=mean, variance=Fraction(s2, total) - mean * mean)
+    a, b, d = n - 2, n - 1, n ** (n - 1)
+    s1 = n * d - b ** n
+    s2 = s1 + b * (n * d - 2 * b ** n + a ** n)  # d E[X^2]
+    return ExactMoments(mean=Fraction(s1, d), variance=Fraction(s2 * d - s1 * s1, d * d))
 
 
 def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:

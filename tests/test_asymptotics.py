@@ -90,7 +90,8 @@ def test_clt_constants_match_closed_forms():
     assert abs(c.mu - (1.0 - math.exp(-1.0))) <= 1e-8
     assert abs(c.sigma2 - (math.exp(-1.0) - 2.0 * math.exp(-2.0))) <= 1e-8
     assert c.sigma2 > 0.0  # variability condition
-    assert math.isfinite(c.v_prime0) and math.isfinite(c.v_doubleprime0)
+    assert abs(c.v_prime0 - 1.0 / (2.0 * math.e)) <= 1e-9
+    assert abs(c.v_doubleprime0 - (1.5 / math.e ** 2 - 1.0 / (2.0 * math.e))) <= 1e-9
 
 
 def test_clt_offset_derivatives_are_stable():

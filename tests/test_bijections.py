@@ -193,6 +193,8 @@ def test_decode_rejects_malformed_sequences():
 @pytest.mark.parametrize("blocks, links", [
     ((frozenset({3}),), (1,)),  # label above n
     ((frozenset({0, 1}),), (1,)),  # label 0
+    ((frozenset({"a"}),), (1,)),  # not comparable with an int
+    ((frozenset({1.0}),), (1,)),  # in range, but not an int
 ])
 def test_decode_rejects_labels_outside_range(blocks, links):
     # a partition built directly, without the checks in make_partition

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,37 @@ def test_exact_moments_examples():
     assert m2.mean == Fraction(3, 2) and m2.variance == Fraction(1, 4)
     assert exact_moments(3).mean == Fraction(19, 9)
     assert exact_moments(12).variance > 0
+
+
+@pytest.mark.parametrize("n", range(1, 81))
+def test_exact_moments_match_stirling_power_sums(n):
+    # the closed form against the mean and variance of the Stirling-number run table
+    values = mapping_run_table(n).values
+    s1 = sum(m * c for m, c in values.items())
+    s2 = sum(m * m * c for m, c in values.items())
+    mean = Fraction(s1, n ** n)
+    assert exact_moments(n) == exact.ExactMoments(mean, Fraction(s2, n ** n) - mean * mean)
+
+
+def test_exact_moments_second_order_lines():
+    # mean = (1 - 1/e) n + 1/(2e) + O(1/n), variance = (1/e - 2/e^2) n + 3/(2e^2) - 1/(2e) + O(1/n)
+    n, e = 1000, math.e
+    m = exact_moments(n)
+    assert abs(float(m.mean) - ((1 - 1 / e) * n + 1 / (2 * e))) < 1e-3
+    assert abs(float(m.variance)
+               - ((1 / e - 2 / e ** 2) * n + 3 / (2 * e ** 2) - 1 / (2 * e))) < 1e-3
+
+
+def test_stirling_memory_is_one_row():
+    # only the previous row is kept while building, so the table's peak stays O(n) integers
+    exact._stirling_row.cache_clear()
+    tracemalloc.start()
+    try:
+        mapping_run_table(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_exact_moments_approach_limit_slopes():

@@ -63,6 +63,12 @@ def test_run_statistics_tree_mode_deterministic():
     assert sum(a.histogram.values()) == 2000
 
 
+@pytest.mark.parametrize("n, samples", [(50, 2000), (200, 3000)])
+def test_tree_sampler_reproduces_mapping_sampler(n, samples):
+    # each tree is the bijective image of the sampled mapping, and run starts survive it
+    assert run_statistics(n, samples, n, use_trees=True) == run_statistics(n, samples, n)
+
+
 def test_run_statistics_mean_small_n():
     stats = run_statistics(2, 1_000_000, seed=31)
     assert abs(stats.mean - 1.5) < 0.002
