@@ -32,6 +32,11 @@ class StepTooLargeError(ValueError):
 
 
 TAU_WINDOW = (0.2, 5.0)
+TAU_TOL = 1e-14
+TAU_MAX_ITER = 80
+RHO_CONSISTENCY = 1e-10
+LAMBERT_TOL = 1e-12
+LAMBERT_MAX_ITER = 100
 
 MEAN_SLOPE = 1.0 - math.exp(-1.0)              # 0.6321205588285577
 VARIANCE_SLOPE = math.exp(-1.0) - 2.0 * math.exp(-2.0)  # 0.0972088746982169
@@ -52,8 +57,8 @@ class CltConstants:
     v_doubleprime0: float
 
 
-def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
-    """Principal branch of w e^w = x for x >= -1/e, by Halley iteration."""
+def lambert_w(x: float) -> float:
+    """Principal branch of w e^w = x for x >= -1/e, by at most LAMBERT_MAX_ITER Halley steps."""
     branch = -math.exp(-1.0)
     if x < branch:
         raise DomainError(f"lambert_w needs x >= -1/e, got {x}")
@@ -71,54 +76,49 @@ def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
     else:
         lx = math.log(x)
         w = lx - math.log(lx)
-    for _ in range(max_iter):
+    for _ in range(LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0))
         step = f / denom
         w -= step
-        if abs(step) <= tol * max(1.0, abs(w)):
+        if abs(step) <= LAMBERT_TOL * max(1.0, abs(w)):
             return w
     raise NoConvergenceError(f"lambert_w({x}) did not converge")
 
 
-def singularity_data(
-    v: float,
-    tol: float = 1e-14,
-    max_iter: int = 80,
-    window: tuple[float, float] = TAU_WINDOW,
-    consistency: float = 1e-10,
-) -> SingularityData:
+def singularity_data(v: float) -> SingularityData:
     """Solve the characteristic equation for tau at marking value v.
 
-    Newton iteration from tau = 1; the window keeps v where the solution
-    is unique.  rho is computed from both available formulas, which must
-    agree to ``consistency``, and cross-checked against the Lambert-W
-    form rho = W((1-v)/(e v)) / (1-v) away from v = 1.  The alternative
-    forms divide by 1 - v, so their comparison tolerance is widened by
-    the round-off they amplify as v approaches 1.
+    Newton iteration from tau = 1, until a step is below TAU_TOL relative
+    to max(1, |tau|), for at most TAU_MAX_ITER steps; TAU_WINDOW keeps v
+    where the solution is unique.  rho is computed from both available
+    formulas, which must agree to RHO_CONSISTENCY, and cross-checked
+    against the Lambert-W form rho = W((1-v)/(e v)) / (1-v) away from
+    v = 1.  The alternative forms divide by 1 - v, so their comparison
+    tolerance is widened by the round-off they amplify as v approaches 1.
     """
-    lo, hi = window
+    lo, hi = TAU_WINDOW
     if not lo < v < hi:
         raise DomainError(f"v={v} outside window ({lo}, {hi})")
     tau = 1.0
-    for _ in range(max_iter):
+    for _ in range(TAU_MAX_ITER):
         e_neg = math.exp(-tau)
         g = tau - 1.0 - (1.0 - v) * e_neg / v
         dg = 1.0 + (1.0 - v) * e_neg / v
         step = g / dg
         tau -= step
-        if abs(step) <= tol * max(1.0, abs(tau)):
+        if abs(step) <= TAU_TOL * max(1.0, abs(tau)):
             break
     else:
         raise NoConvergenceError(f"tau({v}) did not converge")
     rho = 1.0 / (v * math.exp(tau))
     if v == 1.0:
         rho_alt = 1.0 / math.e
-        budget = consistency
+        budget = RHO_CONSISTENCY
     else:
         rho_alt = (tau - 1.0) / (1.0 - v)
-        budget = consistency + 8.0 * sys.float_info.epsilon / abs(1.0 - v)
+        budget = RHO_CONSISTENCY + 8.0 * sys.float_info.epsilon / abs(1.0 - v)
     if abs(rho - rho_alt) > budget * max(1.0, abs(rho)):
         raise NoConvergenceError(
             f"rho formulas disagree at v={v}: {rho} vs {rho_alt}")

@@ -21,6 +21,7 @@ from typing import Iterator
 
 from .core import CayleyTree, LabelOutOfRangeError, Mapping, _cycles, make_mapping, make_tree
 from .exact import DEFAULT_EXHAUSTIVE_BOUND, SizeTooLargeError
+from .runs import _smaller_preimage
 
 LinkSequence = tuple[int, ...]
 
@@ -156,30 +157,28 @@ def encode_partition(m: Mapping) -> tuple[OrderedSetPartition, LinkSequence]:
     """Decompose a mapping into run blocks plus the links that glue them.
 
     Repeatedly take the largest unused element, then descend through the
-    largest preimage carrying a smaller label until none exists; the
+    largest unused preimage with a smaller label until none exists; the
     visited elements form one block (an ascending run, read increasingly),
     and the link stores the image of the block's largest element.
+
+    Lemma: when the descent reaches j, no smaller preimage i of j is in a
+    block yet.  Tops are taken unused and decreasing, so i < j <= current
+    top is no earlier block's top; a non-top element's image is in its own
+    block, so an earlier block holding i would hold f(i) = j, still unused.
+    So the blocks are the chains of ``down``, and i is used before it is a
+    candidate top exactly when i = down[f(i)].
     """
-    n = m.n
-    pre_smaller: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, j in enumerate(m.image, start=1):
-        if i < j:
-            pre_smaller[j].append(i)
-    used = bytearray(n + 1)
+    down = _smaller_preimage(m.image)
     blocks: list[frozenset[int]] = []
     links: list[int] = []
-    for top in range(n, 0, -1):
-        if used[top]:
+    for top in range(m.n, 0, -1):
+        if down[m.image[top - 1]] == top:
             continue
         block = []
         cur = top
-        while True:
+        while cur:
             block.append(cur)
-            used[cur] = 1
-            cands = [i for i in pre_smaller[cur] if not used[i]]
-            if not cands:
-                break
-            cur = max(cands)
+            cur = down[cur]
         blocks.append(frozenset(block))
         links.append(m.image[top - 1])
     return OrderedSetPartition(blocks=tuple(blocks)), tuple(links)

@@ -276,7 +276,7 @@ def run_cli(argv: list[str]) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

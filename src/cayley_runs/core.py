@@ -100,18 +100,18 @@ def make_tree(parent) -> CayleyTree:
     """
     parent = tuple(parent)
     _check_labels(parent)
-    n = len(parent)
-    roots = [v for v in range(1, n + 1) if parent[v - 1] == v]
+    cycles = _cycles(parent)[0]
+    # the fixed points are exactly the 1-cycles
+    roots = sorted(c[0] for c in cycles if len(c) == 1)
     if not roots:
         raise NoRootError("no self-parented node")
     if len(roots) > 1:
         raise MultipleRootsError(f"multiple roots: {roots}")
-    root = roots[0]
     # Every node must reach the root, so the root's self-loop is the only cycle.
-    for cycle in _cycles(parent)[0]:
-        if cycle != [root]:
+    for cycle in cycles:
+        if len(cycle) > 1:
             raise CycleDetectedError(f"cycle through node {cycle[0]}")
-    return CayleyTree(n=n, parent=parent, root=root)
+    return CayleyTree(n=len(parent), parent=parent, root=roots[0])
 
 
 def _cycles(image: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
@@ -165,24 +165,13 @@ def preimages(m: Mapping, j: int) -> frozenset[int]:
     return frozenset(i for i in range(1, m.n + 1) if m.image[i - 1] == j)
 
 
-def _parse_labels(text: str) -> list[int]:
-    return [int(tok) for tok in text.split()]
-
-
-def mapping_from_text(text: str) -> Mapping:
-    """Parse the one-line space-separated image format, e.g. ``2 1``."""
-    return make_mapping(_parse_labels(text))
-
-
-def tree_from_text(text: str) -> CayleyTree:
-    """Parse the one-line parent format with a self-referential root."""
-    return make_tree(_parse_labels(text))
-
-
-def _json_labels(text: str, key: str) -> list:
-    """The label list under ``key`` of a JSON object, checked against its declared n."""
-    obj = json.loads(text)
-    labels = obj.get(key) if isinstance(obj, dict) else None
+def _load_labels(text: str, key: str) -> list:
+    """Labels of one-line text (``2 1``) or of a JSON object's ``key`` list and optional n."""
+    text = text.strip()
+    if not text.startswith("{"):
+        return [int(tok) for tok in text.split()]
+    obj = json.loads(text)  # text opening with "{" parses to a dict or not at all
+    labels = obj.get(key)
     if not isinstance(labels, list):
         raise LabelOutOfRangeError(f"JSON input needs a {key!r} list")
     n = obj.get("n", len(labels))
@@ -191,25 +180,11 @@ def _json_labels(text: str, key: str) -> list:
     return labels
 
 
-def mapping_from_json(text: str) -> Mapping:
-    return make_mapping(_json_labels(text, "image"))
-
-
-def tree_from_json(text: str) -> CayleyTree:
-    return make_tree(_json_labels(text, "parent"))
-
-
 def load_mapping(text: str) -> Mapping:
     """Parse either the JSON or the plain text mapping format."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return mapping_from_json(stripped)
-    return mapping_from_text(stripped)
+    return make_mapping(_load_labels(text, "image"))
 
 
 def load_tree(text: str) -> CayleyTree:
-    """Parse either the JSON or the plain text tree format."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return tree_from_json(stripped)
-    return tree_from_text(stripped)
+    """Parse either the JSON or the plain text tree format (root self-parented)."""
+    return make_tree(_load_labels(text, "parent"))

@@ -11,19 +11,21 @@ per-value functions in ``core`` and ``runs``.  Entries must lie in
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import numpy as np
 
 
 def pooled_sum(func, jobs: list[tuple], workers: int):
-    """sum(func(*job) for job in jobs), on at most min(workers, len(jobs)) processes.
+    """sum(func(*job) for job in jobs), on at most min(workers, len(jobs), CPUs) processes.
 
     A pool uses the platform's default start method, so ``func`` must be
     a module-level function that any start method can pickle.
     """
-    if workers <= 1 or len(jobs) <= 1:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes <= 1:
         return sum(func(*job) for job in jobs)
-    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+    with multiprocessing.Pool(processes) as pool:
         return sum(pool.starmap(func, jobs))
 
 

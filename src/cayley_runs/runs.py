@@ -20,15 +20,18 @@ class RunProfile:
     count: int
 
 
-def _run_starts(image: tuple[int, ...]) -> RunProfile:
-    n = len(image)
-    blocked = bytearray(n + 1)  # blocked[j] = j has a preimage smaller than j
-    i = 0
-    for j in image:
-        i += 1
+def _smaller_preimage(image) -> list[int]:
+    """down[j] is the largest i < j with f(i) = j (the last one seen), or 0 when j starts a run."""
+    down = [0] * (len(image) + 1)
+    for i, j in enumerate(image, start=1):
         if i < j:
-            blocked[j] = 1
-    starts = frozenset(j for j in range(1, n + 1) if not blocked[j])
+            down[j] = i
+    return down
+
+
+def _run_starts(image: tuple[int, ...]) -> RunProfile:
+    down = _smaller_preimage(image)
+    starts = frozenset(j for j in range(1, len(image) + 1) if not down[j])
     return RunProfile(starts=starts, count=len(starts))
 
 

@@ -211,6 +211,31 @@ def test_make_partition_validation():
         make_partition([{2, 1}, set()])
 
 
+def _encode_by_unused_preimages(m):
+    """The paper's descent, transcribed: always the largest *unused* smaller preimage."""
+    used = set()
+    blocks, links = [], []
+    for top in range(m.n, 0, -1):
+        if top in used:
+            continue
+        block, cur = [], top
+        while cur:
+            block.append(cur)
+            used.add(cur)
+            cands = [i for i in range(1, cur) if m.apply(i) == cur and i not in used]
+            cur = max(cands, default=0)
+        blocks.append(frozenset(block))
+        links.append(m.apply(top))
+    return OrderedSetPartition(tuple(blocks)), tuple(links)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descent_never_meets_a_used_preimage(n):
+    # the lemma in encode_partition's docstring, exhaustively
+    for m in all_mappings(n):
+        assert encode_partition(m) == _encode_by_unused_preimages(m)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_partition_round_trip_exhaustive(n):
     for m in all_mappings(n):

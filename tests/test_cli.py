@@ -248,6 +248,23 @@ def test_malformed_partition_is_a_usage_error(capsys, tmp_path, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_DEEP = "[" * 10**5 + "]" * 10**5  # deeper than the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ('{"image": ' + _DEEP + "}", ["runs", "--input", "{path}"]),
+    (_DEEP, ["partition", "decode", "--input", "{path}"]),
+    (_DEEP, ["--config", "{path}", "table", "--kind", "mapping", "--n", "3"]),
+], ids=["runs", "partition-decode", "config"])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, doc, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    assert run_cli([a.replace("{path}", str(path)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(["table", "--kind", "nonsense", "--n", "3"]) == 2
     assert run_cli(["phi"]) == 2

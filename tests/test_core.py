@@ -48,6 +48,37 @@ def test_make_tree_errors():
         make_tree([1, 5])
 
 
+def _tree_error_by_roots_scan(parent):
+    """(error type, message) of an invalid parent array, or None, from a plain roots scan."""
+    n = len(parent)
+    roots = [v for v in range(1, n + 1) if parent[v - 1] == v]
+    if not roots:
+        return NoRootError, "no self-parented node"
+    if len(roots) > 1:
+        return MultipleRootsError, f"multiple roots: {roots}"
+    for s in range(1, n + 1):
+        # walk until a node repeats: the first repeat is where the walk enters its cycle
+        seen, u = set(), s
+        while u not in seen:
+            seen.add(u)
+            u = parent[u - 1]
+        if u != roots[0]:
+            return CycleDetectedError, f"cycle through node {u}"
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_make_tree_errors_match_a_roots_scan(n):
+    for parent in itertools.product(range(1, n + 1), repeat=n):
+        expected = _tree_error_by_roots_scan(parent)
+        if expected is None:
+            assert make_tree(parent).parent == parent
+            continue
+        with pytest.raises(expected[0]) as info:
+            make_tree(parent)
+        assert type(info.value) is expected[0] and str(info.value) == expected[1]
+
+
 def test_make_mapping_examples():
     assert make_mapping([1]).apply(1) == 1
     assert make_mapping([2, 1]).image == (2, 1)

@@ -69,12 +69,26 @@ class _SerialPool:
 def test_pool_is_capped_at_the_job_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the CPU cap must not bind here
     # 2,100 samples at n = 1000 make two chunks of at most 2^21 cells
     assert run_statistics(1000, 2100, seed=5, workers=3) == run_statistics(1000, 2100, seed=5)
     # n = 2 scans two one-entry prefix blocks
     assert brute_force_tables(2, workers=3) == brute_force_tables(2)
     assert brute_force_tables(3, workers=2) == brute_force_tables(3)
     assert _SerialPool.sizes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(2, [2, 2]), (1, []), (None, [])])
+def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # 10,000 samples at n = 1000 make five chunks; n = 4 scans four prefix blocks
+    assert (run_statistics(1000, 10_000, 5, workers=1000)
+            == run_statistics(1000, 10_000, 5))
+    assert brute_force_tables(4, workers=1000) == brute_force_tables(4)
+    # one CPU, or an unknown count, runs the jobs in this process
+    assert _SerialPool.sizes == sizes
 
 
 def test_pools_work_under_spawn():

@@ -8,8 +8,11 @@ from cayley_runs import (
     DegenerateVarianceError,
     RunStatistics,
     exact_moments,
+    make_mapping,
     mapping_runs,
+    mapping_to_tree,
     normality_check,
+    run_starts_tree,
     run_statistics,
     sample_mapping,
     sample_tree,
@@ -67,6 +70,16 @@ def test_run_statistics_tree_mode_deterministic():
 def test_tree_sampler_reproduces_mapping_sampler(n, samples):
     # each tree is the bijective image of the sampled mapping, and run starts survive it
     assert run_statistics(n, samples, n, use_trees=True) == run_statistics(n, samples, n)
+
+
+def test_tree_chunk_counts_match_a_per_row_tally():
+    # one chunk: the same seeded rows, each drawn as a tree and counted by the scalar predicate
+    n, samples, seed = 30, 400, 8
+    (stream,) = np.random.SeedSequence(seed).spawn(1)
+    arr = np.random.Generator(np.random.PCG64(stream)).integers(1, n + 1, size=(samples, n))
+    tally = Counter(run_starts_tree(mapping_to_tree(make_mapping(row.tolist())).tree).count
+                    for row in arr)
+    assert run_statistics(n, samples, seed, use_trees=True).histogram == dict(tally)
 
 
 def test_run_statistics_mean_small_n():

@@ -9,6 +9,7 @@ from cayley_runs import (
     run_starts_mapping,
     run_starts_tree,
 )
+from cayley_runs.runs import _smaller_preimage
 
 from conftest import FIG_ASCENTS, FIG_MAPPING, FIG_RUN_COUNT, FIG_RUN_STARTS, FIG_TREE_PARENT
 
@@ -87,6 +88,14 @@ def test_start_predicate_matches_preimages(m):
         no_smaller = all(i >= j for i in preimages(m, j))
         assert (j in profile.starts) == no_smaller
     assert 1 <= profile.count <= m.n
+
+
+@given(mappings)
+def test_smaller_preimage_table_matches_preimages(m):
+    down = _smaller_preimage(m.image)
+    assert len(down) == m.n + 1
+    for j in range(1, m.n + 1):
+        assert down[j] == max((i for i in preimages(m, j) if i < j), default=0)
 
 
 @given(mappings)
