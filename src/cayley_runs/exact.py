@@ -20,7 +20,10 @@ import numpy as np
 from . import kernels
 
 DEFAULT_EXHAUSTIVE_BOUND = 7
-_FREE_ENTRIES = 5  # a scan block varies the last 5 entries: n^5 rows bounds its memory
+# A scan block varies the last 4 entries: n^4 rows, 2,401 at n = 7.  Blocks of n^5 rows
+# scan slower: malloc tends to hand the 2 MiB pointer-doubling peak of `connected`
+# back to the OS and fault it in again on every block.
+_FREE_ENTRIES = 4
 
 
 class SizeTooLargeError(ValueError):
@@ -157,16 +160,16 @@ def brute_force_tables(
 
     Enumerates all n^n arrays, so the bound matters; raise it explicitly
     to go beyond the default.  The scan runs over blocks that fix all but
-    the last five entries (16,807 arrays each at n = 7); with workers > 1
-    the blocks are dealt round-robin and per-worker tallies are merged by
-    addition.
+    the last four entries (2,401 arrays each at n = 7); with workers > 1
+    the blocks are dealt round-robin into one job per process that starts
+    (``kernels.pool_size``), and per-job tallies are merged by addition.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > max_size:
         raise SizeTooLargeError(f"n={n} exceeds exhaustive bound {max_size}")
     prefixes = list(itertools.product(range(1, n + 1), repeat=max(1, n - _FREE_ENTRIES)))
-    workers = max(1, min(workers, len(prefixes)))
+    workers = kernels.pool_size(workers, len(prefixes))
     chunks = [(n, prefixes[w::workers]) for w in range(workers)]
     tallies = kernels.pooled_sum(_tally_blocks, chunks, workers)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,44 @@ def test_kernels_random_blocks(images):
     _assert_rows_match_scalar(images)
 
 
+def _run_counts_reference(images):
+    """The unblocked kernel: np.where zeroes the non-ascents, put_along_axis marks the rest."""
+    rows, n = images.shape
+    blocked = np.zeros((rows, n + 1), dtype=bool)  # column 0 collects the non-ascents
+    ascents = np.where(images > np.arange(1, n + 1), images, 0)
+    np.put_along_axis(blocked, ascents, True, axis=1)
+    return n - np.count_nonzero(blocked[:, 1:], axis=1)
+
+
+# an mc chunk at n = 1000 (ragged last scatter block), n^5 rows at n = 7 (two
+# scatter blocks), and rows longer than a scatter block
+@pytest.mark.parametrize("rows, n", [(2097, 1000), (16807, 7), (3, 70000)])
+def test_run_counts_across_scatter_blocks(rows, n):
+    images = np.random.default_rng(n).integers(1, n + 1, size=(rows, n))
+    before = images.copy()
+    counts = run_counts(images)
+    assert np.array_equal(images, before)
+    expected = _run_counts_reference(images)
+    assert counts.dtype == expected.dtype
+    assert np.array_equal(counts, expected)
+
+
+def test_run_counts_memory_does_not_grow_with_the_rows():
+    images = np.random.default_rng(1).integers(1, 1001, size=(2097, 1000))
+    tracemalloc.start()
+    try:
+        run_counts(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # the unblocked kernel peaks at 20 MiB on this chunk
+
+
 class _SerialPool:
-    """Stands in for multiprocessing.Pool: records its size, runs in-process."""
+    """Stands in for multiprocessing.Pool: records its size and job counts, runs in-process."""
 
     sizes: list[int] = []
+    jobs: list[int] = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -63,6 +98,7 @@ class _SerialPool:
         return False
 
     def starmap(self, func, jobs):
+        self.jobs.append(len(jobs))
         return [func(*job) for job in jobs]
 
 
@@ -89,6 +125,17 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
     assert brute_force_tables(4, workers=1000) == brute_force_tables(4)
     # one CPU, or an unknown count, runs the jobs in this process
     assert _SerialPool.sizes == sizes
+
+
+def test_oracle_deals_one_job_per_process(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "jobs", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # n = 4 has four prefix blocks; two processes start, so two jobs share them
+    assert brute_force_tables(4, workers=1000) == brute_force_tables(4)
+    assert _SerialPool.sizes == [2]
+    assert _SerialPool.jobs == [2]
 
 
 def test_pools_work_under_spawn():

@@ -82,6 +82,13 @@ def test_tree_chunk_counts_match_a_per_row_tally():
     assert run_statistics(n, samples, seed, use_trees=True).histogram == dict(tally)
 
 
+def test_seeded_histogram_is_pinned():
+    # two chunks (69,905 + 95 rows); fixed values pin the per-chunk streams and the counting
+    assert run_statistics(30, 70_000, seed=5).histogram == {
+        12: 2, 13: 20, 14: 168, 15: 897, 16: 3041, 17: 7321, 18: 12968, 19: 16021,
+        20: 14569, 21: 9264, 22: 4116, 23: 1264, 24: 295, 25: 49, 26: 5}
+
+
 def test_run_statistics_mean_small_n():
     stats = run_statistics(2, 1_000_000, seed=31)
     assert abs(stats.mean - 1.5) < 0.002
