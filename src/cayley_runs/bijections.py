@@ -9,8 +9,9 @@ ordered set partition (blocks sorted by decreasing maximum) together
 with a link sequence recording the image of each block's largest
 element; the pair determines the mapping uniquely.
 
-Decoding validates a pair by re-encoding the mapping it builds;
-``forbidden_links`` states the restriction for the counting oracle.
+Decoding validates a pair in one pass over its blocks' predecessors,
+which a lemma shows is the same as re-encoding it; ``forbidden_links``
+states the restriction for the counting oracle.
 """
 
 from __future__ import annotations
@@ -192,6 +193,17 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     break the restriction, since those pairs are outside the image of
     ``encode_partition``: the encoding is a bijection onto the restricted
     pairs, so a pair is valid exactly when its mapping re-encodes to it.
+
+    Lemma: with pred[b] = a for consecutive a < b of a block (0 for a
+    block's least element), the encoder's down[j] equals pred[j] for
+    every j exactly when no block with top t and link x has
+    pred[x] < t < x.  The smaller preimages of j are pred[j] and the tops
+    t < j linked to j, and down[j] is the largest of them.  When down is
+    pred, the encoder's blocks are these blocks, taken by decreasing top,
+    each with its link; when it is not, some top t = down[j] joins j's
+    block in the encoding but not here.  So the pair re-encodes to itself
+    exactly when block maxima strictly decrease and no such block exists,
+    which is checked in one pass instead of re-encoding.
     """
     n = s.n
     if len(x) != len(s.blocks):
@@ -204,15 +216,20 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     if set(map(type, itertools.chain.from_iterable(s.blocks))) != {int}:
         raise LabelOutOfRangeError("block labels must be ints")
     image = [0] * n
+    pred = [0] * (n + 1)
+    tops = []
     for block, nj in zip(s.blocks, x):
         run = sorted(block)
         if not run or run[0] < 1 or run[-1] > n:
             raise LabelOutOfRangeError(f"block {run} is empty or leaves [1, {n}]")
         for a, b in zip(run, run[1:]):
             image[a - 1] = b
+            pred[b] = a
         image[run[-1] - 1] = nj
+        tops.append(run[-1])
     m = make_mapping(image)
-    if encode_partition(m) != (s, tuple(x)):
+    if (any(later >= earlier for later, earlier in zip(tops[1:], tops))
+            or any(pred[nj] < top < nj for top, nj in zip(tops, x))):
         raise InvalidLinkSequenceError(
             "a link is forbidden by an earlier block: the pair does not re-encode to itself")
     return m

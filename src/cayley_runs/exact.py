@@ -3,8 +3,9 @@
 Closed forms and moments are exact big-integer or rational arithmetic.  Stirling
 numbers are built one row at a time; the moments are closed forms over the
 run-start indicators, with the Stirling sum as their test oracle.  Brute-force
-tallies scan raw arrays through the numpy kernels (int64 holds n^n at every size
-the scan reaches) and are the ground truth the closed forms are checked against.
+tallies classify every raw array by lookups in tables built once per suffix
+(int64 holds n^n at every size the scan reaches) and are the ground truth the
+closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 from . import kernels
 
 DEFAULT_EXHAUSTIVE_BOUND = 7
-# A scan block varies the last 4 entries: n^4 rows, 2,401 at n = 7.  Blocks of n^5 rows
-# scan slower: malloc tends to hand the 2 MiB pointer-doubling peak of `connected`
-# back to the OS and fault it in again on every block.
+# The suffix is the last 4 entries: each job tabulates its n^4 values, 2,401 at n = 7,
+# and the prefixes before it are dealt to the jobs.
 _FREE_ENTRIES = 4
+_CHUNK_CELLS = 1 << 16  # cells classified at once: 128 KiB uint16 keys at n = 7 and 8
 
 
 class SizeTooLargeError(ValueError):
@@ -125,30 +126,119 @@ def exact_moments(n: int) -> ExactMoments:
     return ExactMoments(mean=Fraction(s1, d), variance=Fraction(s2 * d - s1 * s1, d * d))
 
 
-def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
-    """Run-count tallies (tree, mapping, connected) over the given prefix blocks.
+def _ascent_bits(images: np.ndarray) -> np.ndarray:
+    """Per row, the set {f(i) : f(i) > i} over columns i = 1, 2, ..., as bit f(i) - 1."""
+    nodes = np.arange(1, images.shape[1] + 1)
+    bits = np.where(images > nodes, np.left_shift(1, images - 1), 0)
+    return np.bitwise_or.reduce(bits, axis=1)
 
-    Each block holds every array in [n]^n that starts with its prefix, one
-    array per row.  One pass serves all three tables: every array is a
-    mapping; the connected ones with a fixed point are exactly the parent
-    arrays of valid trees (a connected functional graph has one cycle, and
-    a fixed-point cycle makes it a rooted tree), and the self-loop at the
-    root never affects the run-start predicate.
+
+def _suffix_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
+    """Tabulate the n^(n-p) suffixes once, for arrays whose first p entries vary.
+
+    One ``kernels.cycles`` walk over the suffix block, with the p prefix
+    nodes held as fixed points, gives for each suffix r and node y the
+    first prefix node on the path from y (0 when the path ends on a suffix
+    cycle) and the number of cycles inside the suffix.  A cell's key, in
+    base q = p + 2, is
+
+        (min(inner cycles, 2) + 3 [the suffix has a fixed point]) q^p
+        + sum_i code_i q^(p - 1 - i),
+
+    where code_i is that first prefix node for y = y_i, except that a
+    prefix fixed point y_i = i is coded p + 1.  A second walk, over every
+    contracted map of {0, ..., p} (0 a sink) that the codes spell, counts
+    the cycles through the prefix.
+
+    Returns (codes, classes, ascents, runs).  codes[i, y - 1, r] is prefix
+    entry i's share of the key when that entry is y and the suffix is r,
+    and codes[0] also carries the suffix's share; classes[key] is
+    (n + 1) (conn + tree); ascents[r] holds the suffix's ascent targets as
+    bits; runs[b] is n minus the bits set in b.
+    """
+    s, q = n - p, p + 2
+    block = np.empty((n ** s, n), dtype=np.intp)
+    block[:, :p] = np.arange(1, p + 1)
+    block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
+    ends, cycles = kernels.cycles(block)
+    suffix_fixed = (block[:, p:] == np.arange(p + 1, n + 1)).any(axis=1)
+    suffix_share = (np.minimum(cycles - p, 2) + 3 * suffix_fixed) * q ** p
+
+    key_type = np.min_scalar_type(6 * q ** p - 1)
+    first_in_prefix = np.where(ends <= p, ends, 0).T
+    codes = np.empty((p, n, n ** s), dtype=key_type)
+    for i in range(p):
+        codes[i] = first_in_prefix
+        codes[i, i] = p + 1
+        codes[i] *= q ** (p - 1 - i)
+    codes[0] += suffix_share.astype(key_type)
+
+    contracted_keys = np.indices((q,) * p).reshape(p, q ** p).T
+    own = contracted_keys == p + 1
+    contracted = np.ones((q ** p, p + 1), dtype=np.intp)
+    contracted[:, 1:] = np.where(own, np.arange(2, p + 2), contracted_keys + 1)
+    prefix_cycles = kernels.cycles(contracted)[1] - 1  # the sink's loop is not a cycle
+    suffix_cycles = np.arange(3)[:, None]  # 0, 1, or at least 2
+    conn = suffix_cycles + prefix_cycles == 1
+    suffix_fixed_axis = np.array([False, True])[:, None, None]
+    tree = conn & (suffix_fixed_axis | own.any(axis=1))
+    # int first: bool + bool would be a logical or
+    classes = ((n + 1) * (conn.astype(int) + tree)).astype(np.min_scalar_type(3 * n + 2))
+
+    bits = np.arange(1 << n)
+    set_bits = ((bits[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    mask_type = np.min_scalar_type((1 << n) - 1)
+    return (codes, classes.reshape(-1), _ascent_bits(block).astype(mask_type),
+            (n - set_bits).astype(classes.dtype))
+
+
+def _classes(tables: tuple[np.ndarray, ...], prefixes: np.ndarray) -> np.ndarray:
+    """Class runs + (n + 1) (conn + tree) of each (prefix row, suffix) cell.
+
+    Row k holds the cells of prefix k, with the suffixes in the order of
+    ``itertools.product``, so cell (k, r) is the array prefix k + suffix r.
+    """
+    codes, classes, ascents, runs = tables
+    key = codes[0][prefixes[:, 0] - 1]
+    for i in range(1, prefixes.shape[1]):
+        key += codes[i][prefixes[:, i] - 1]
+    out = np.take(classes, key)  # np.take gathers faster than fancy indexing
+    prefix_ascents = _ascent_bits(prefixes).astype(ascents.dtype)
+    out += np.take(runs, ascents | prefix_ascents[:, None])
+    return out
+
+
+def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
+    """Run-count tallies (tree, mapping, connected) over every array with the given prefixes.
+
+    Split f in [n]^n into its prefix P = (1, ..., p) and suffix S = (p + 1,
+    ..., n).  Lemma: the cycles of f are the cycles inside S plus one for
+    each cycle of the contracted map i -> c_i on P, where c_i is the first
+    node of P on the path f(i), f(f(i)), ... and c_i = 0 when that path
+    ends on a cycle inside S (0 is a sink).  A cycle of f either avoids P,
+    and lies inside S, or meets P, and its P nodes in order form a cycle
+    of the contraction; a contracted cycle comes from exactly one such
+    cycle of f.  Every component of a functional graph holds one cycle, so
+    f is connected exactly when it has one cycle; a connected f is the
+    parent array of a rooted tree exactly when its cycle is a fixed point,
+    that is, when P or S has one; and the run starts are the nodes that no
+    ascent of P or S targets, the union of the two ascent sets.
+
+    So each job tabulates the suffixes once (``_suffix_tables``) and then
+    classifies the cells of ``_CHUNK_CELLS`` at a time by table lookups.
+    Every array is still counted once and no formula is called.
     """
     p = len(prefixes[0])
-    s = n - p
-    block = np.empty((n ** s, n), dtype=np.intp)
-    block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
-    tallies = np.zeros((3, n + 1), dtype=np.int64)
-    for prefix in prefixes:
-        block[:, :p] = prefix
-        runs = kernels.run_counts(block)
-        conn = kernels.connected(block)
-        tree = conn & kernels.has_fixed_point(block)
-        tallies[0] += np.bincount(runs[tree], minlength=n + 1)
-        tallies[1] += np.bincount(runs, minlength=n + 1)
-        tallies[2] += np.bincount(runs[conn], minlength=n + 1)
-    return tallies
+    tables = _suffix_tables(n, p)
+    rows = np.array(prefixes, dtype=np.intp)
+    step = max(1, _CHUNK_CELLS // n ** (n - p))
+    counts = np.zeros(3 * (n + 1), dtype=np.int64)
+    for start in range(0, len(rows), step):
+        cells = _classes(tables, rows[start:start + step])
+        counts += np.bincount(cells.reshape(-1), minlength=3 * (n + 1))
+    # rows: not connected, connected but not a tree, tree
+    by_class = counts.reshape(3, n + 1)
+    return np.stack([by_class[2], by_class.sum(axis=0), by_class[1] + by_class[2]])
 
 
 def brute_force_tables(
@@ -159,10 +249,12 @@ def brute_force_tables(
     """Exhaustive (tree, mapping, connected-mapping) run tables for size n.
 
     Enumerates all n^n arrays, so the bound matters; raise it explicitly
-    to go beyond the default.  The scan runs over blocks that fix all but
-    the last four entries (2,401 arrays each at n = 7); with workers > 1
-    the blocks are dealt round-robin into one job per process that starts
-    (``kernels.pool_size``), and per-job tallies are merged by addition.
+    to go beyond the default.  Each array is a prefix of all but the last
+    four entries followed by a suffix (2,401 suffixes at n = 7); the
+    prefixes are dealt round-robin into one job per process that starts
+    (``kernels.pool_size``), each job tabulates the suffixes once and
+    classifies its arrays (``_tally_blocks``), and per-job tallies are
+    merged by addition.
     """
     if n < 1:
         raise ValueError("n must be positive")

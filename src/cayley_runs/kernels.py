@@ -5,6 +5,8 @@ root self-parented).  Each kernel answers one question for every row at
 once, in numpy, and is cross-checked in the tests against the scalar
 per-value functions in ``core`` and ``runs``.  Entries must lie in
 [1, n]: callers generate them, and the kernels do not check them.
+``cycles`` is the one pointer-doubling walk: the brute-force oracle in
+``exact`` builds its suffix and contracted-prefix tables with it.
 ``run_counts`` scatters in row blocks of at most ``_BLOCK_CELLS`` cells, so
 its temporaries stay in cache and its memory does not grow with the rows.
 ``pooled_sum`` spreads such batched work over worker processes, and
@@ -68,28 +70,25 @@ def run_counts(images: np.ndarray) -> np.ndarray:
     return counts
 
 
-def has_fixed_point(images: np.ndarray) -> np.ndarray:
-    """Whether each row has some i with f(i) = i."""
-    return (images == np.arange(1, images.shape[1] + 1)).any(axis=1)
+def cycles(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each node's path ends, and each row's number of cycles, by pointer doubling.
 
-
-def connected(images: np.ndarray) -> np.ndarray:
-    """Whether each row's functional graph is weakly connected, by pointer doubling.
-
-    After k = ceil(log2 n) squarings g = f^(2^k) and mn[i] is the
-    smallest label among the first 2^k iterates of i.  Since 2^k >= n,
-    g[i] lies on the cycle of i's component and mn[g[i]] is that cycle's
-    smallest label; a functional graph has one cycle per component, so a
-    row is connected exactly when mn[g[i]] is the same for every i.
-    Indices are flat offsets into the (rows, n) block, which lets
-    ``np.take`` gather without per-axis fancy indexing.
+    After k = ceil(log2 n) squarings g = f^(2^k) and mn[i] is the smallest
+    label among the first 2^k iterates of i.  Since 2^k >= n, g[i] lies on
+    the cycle that the path from i reaches, and mn[g[i]] is that cycle's
+    smallest label; so a row has as many cycles as nodes i with
+    mn[g[i]] = i.  Returns g as 1-based labels, shaped like ``images``,
+    and the cycle counts.  Indices are flat offsets into the (rows, n)
+    block, which lets ``np.take`` gather without per-axis fancy indexing.
     """
     rows, n = images.shape
-    g = images + (np.arange(rows) * n - 1)[:, None]
+    offsets = (np.arange(rows) * n - 1)[:, None]
+    g = images + offsets
     # labels in the narrowest dtype: gathering bytes instead of int64 halves the cost
-    mn = np.broadcast_to(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, n))
+    labels = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    mn = np.broadcast_to(labels, (rows, n))
     for _ in range((n - 1).bit_length()):
         mn = np.minimum(mn, np.take(mn, g, mode="clip"))
         g = np.take(g, g, mode="clip")
     cycle_min = np.take(mn, g, mode="clip")
-    return (cycle_min == cycle_min[:, :1]).all(axis=1)
+    return g - offsets, np.count_nonzero(cycle_min == labels, axis=1)

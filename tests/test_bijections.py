@@ -299,6 +299,45 @@ def test_decode_rejects_exactly_the_forbidden_links(n):
                 assert rejected == forbidden, (partition, links)
 
 
+def _decode_by_re_encoding(partition, links):
+    """decode_partition as it validated before: build the mapping, then re-encode it."""
+    image = [0] * partition.n
+    for block, nj in zip(partition.blocks, links):
+        run = sorted(block)
+        for a, b in zip(run, run[1:]):
+            image[a - 1] = b
+        image[run[-1] - 1] = nj
+    m = make_mapping(image)
+    if encode_partition(m) != (partition, tuple(links)):
+        raise InvalidLinkSequenceError(
+            "a link is forbidden by an earlier block: the pair does not re-encode to itself")
+    return m
+
+
+def _outcome(decode, partition, links):
+    try:
+        return decode(partition, links)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_decode_check_matches_re_encoding(n):
+    # the lemma in decode_partition's docstring: every block order, every link sequence
+    from cayley_runs.bijections import _set_partitions
+
+    pairs = 0
+    for m in range(1, n + 1):
+        for raw in _set_partitions(n, m):
+            for order in itertools.permutations(frozenset(b) for b in raw):
+                partition = OrderedSetPartition(tuple(order))
+                for links in itertools.product(range(1, n + 1), repeat=m):
+                    assert (_outcome(decode_partition, partition, links)
+                            == _outcome(_decode_by_re_encoding, partition, links))
+                    pairs += 1
+    assert pairs == [1, 10, 219, 8_676, 544_505][n - 1]
+
+
 @pytest.mark.parametrize("n,m,expected", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 18)])
 def test_count_valid_pairs_examples(n, m, expected):
     assert count_valid_pairs(n, m) == expected

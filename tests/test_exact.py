@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,18 +11,21 @@ from hypothesis import strategies as st
 from cayley_runs import (
     SizeTooLargeError,
     brute_force_tables,
+    components,
     connected_series,
     exact_moments,
     falling_factorial,
+    make_mapping,
     mapping_run_table,
     mapping_runs,
+    run_starts_mapping,
     series_count_table,
     stirling2,
     tree_run_table,
     tree_runs,
     tree_runs_alternating,
 )
-from cayley_runs import exact, series
+from cayley_runs import exact, kernels, series
 from cayley_runs.bijections import _set_partitions
 
 
@@ -171,15 +175,14 @@ def test_exact_moments_approach_limit_slopes():
     assert abs(m.variance / 50 - (math.exp(-1) - 2 * math.exp(-2))) < 0.01
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_brute_force_tables_match_closed_forms(n):
-    tree_t, map_t, conn_t = brute_force_tables(n)
+    tree_t, map_t, conn_t = brute_force_tables(n, max_size=8)
     assert tree_t.values == tree_run_table(n).values
     assert map_t.values == mapping_run_table(n).values
+    assert conn_t.values == series_count_table(connected_series(n), n).values
     assert tree_t.total() == n ** (n - 1)
     assert map_t.total() == n ** n
-    assert conn_t.total() <= n ** n
-    assert all(conn_t.values[m] <= map_t.values[m] for m in conn_t.values)
 
 
 def test_brute_force_connected_totals():
@@ -193,6 +196,66 @@ def test_brute_force_workers_merge():
         single = brute_force_tables(n)
         for workers in (2, 3, 7):
             assert brute_force_tables(n, workers=workers) == single
+    assert brute_force_tables(8, workers=2, max_size=8) == brute_force_tables(8, max_size=8)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_array_is_classified_as_the_scalar_checks_say(n):
+    # the decomposition lemma in _tally_blocks, array by array, for every prefix length
+    want = []
+    for image in itertools.product(range(1, n + 1), repeat=n):
+        m = make_mapping(image)
+        conn = len(components(m).components) == 1
+        tree = conn and any(j == i for i, j in enumerate(image, start=1))
+        want.append(run_starts_mapping(m).count + (n + 1) * (conn + tree))
+    for p in range(1, n + 1):
+        prefixes = np.array(list(itertools.product(range(1, n + 1), repeat=p)))
+        got = exact._classes(exact._suffix_tables(n, p), prefixes)
+        assert got.reshape(-1).tolist() == want, p
+
+
+def _connected(images):
+    """Pointer doubling as the per-block scan did it: one cycle minimum for every node."""
+    rows, n = images.shape
+    g = images + (np.arange(rows) * n - 1)[:, None]
+    mn = np.broadcast_to(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, n))
+    for _ in range((n - 1).bit_length()):
+        mn = np.minimum(mn, np.take(mn, g, mode="clip"))
+        g = np.take(g, g, mode="clip")
+    cycle_min = np.take(mn, g, mode="clip")
+    return (cycle_min == cycle_min[:, :1]).all(axis=1)
+
+
+def _has_fixed_point(images):
+    return (images == np.arange(1, images.shape[1] + 1)).any(axis=1)
+
+
+def _tally_blocks_reference(n, prefixes):
+    """The per-block scan: every array of each prefix block through three full kernels."""
+    p = len(prefixes[0])
+    s = n - p
+    block = np.empty((n ** s, n), dtype=np.intp)
+    block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
+    tallies = np.zeros((3, n + 1), dtype=np.int64)
+    for prefix in prefixes:
+        block[:, :p] = prefix
+        runs = kernels.run_counts(block)
+        conn = _connected(block)
+        tree = conn & _has_fixed_point(block)
+        tallies[0] += np.bincount(runs[tree], minlength=n + 1)
+        tallies[1] += np.bincount(runs, minlength=n + 1)
+        tallies[2] += np.bincount(runs[conn], minlength=n + 1)
+    return tallies
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_brute_force_tables_match_the_per_block_scan(n):
+    prefixes = list(itertools.product(range(1, n + 1), repeat=n - exact._FREE_ENTRIES))
+    want = _tally_blocks_reference(n, prefixes)
+    assert np.array_equal(exact._tally_blocks(n, prefixes), want)
+    tables = brute_force_tables(n, max_size=8)
+    assert [t.values for t in tables] == [
+        {m: int(c) for m, c in enumerate(row) if c} for row in want]
 
 
 def test_brute_force_calls_no_formula(monkeypatch):

@@ -18,16 +18,22 @@ from hypothesis.extra.numpy import arrays
 import cayley_runs
 from cayley_runs import (brute_force_tables, components, make_mapping, run_starts_mapping,
                          run_statistics)
-from cayley_runs.kernels import connected, has_fixed_point, run_counts
+from cayley_runs.kernels import cycles, run_counts
 
 
 def _assert_rows_match_scalar(images):
-    runs, conn, fixed = run_counts(images), connected(images), has_fixed_point(images)
+    runs = run_counts(images)
+    ends, cycle_counts = cycles(images)
+    steps = 1 << (images.shape[1] - 1).bit_length()  # the first power of two >= n
     for k, row in enumerate(images.tolist()):
         m = make_mapping(row)
         assert runs[k] == run_starts_mapping(m).count
-        assert conn[k] == (len(components(m).components) == 1)
-        assert fixed[k] == any(j == i for i, j in enumerate(row, start=1))
+        assert cycle_counts[k] == len(components(m).components)  # one cycle per component
+        for i in range(1, len(row) + 1):
+            y = i
+            for _ in range(steps):
+                y = row[y - 1]
+            assert ends[k, i - 1] == y
 
 
 @pytest.mark.parametrize("n", range(1, 6))
