@@ -3,9 +3,11 @@
 
 The exhaustive scan enumerates all n^n arrays.  n = 8 is about 1.7e7
 arrays: `--n-max 8 --workers 2`, which raises the bound to its n-max,
-takes about 5 s on a 2-core x86-64 box (numpy 2.4), of which n = 8
-itself is about 4.6 s, the time of
-`cayley-runs table --kind tree --n 8 --oracle --max-size 8 --workers 2`.
+takes about 0.5 s as a process on a 2-core x86-64 box (numpy 2.4), and
+the script's own timer puts n = 8 itself at 0.09-0.14 s.  Most of the
+rest is start-up, as in
+`cayley-runs table --kind tree --n 8 --oracle --max-size 8 --workers 2`,
+which also takes 0.4-0.5 s as a process.
 """
 
 import argparse

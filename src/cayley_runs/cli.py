@@ -8,6 +8,7 @@ subcommands), 1 check failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -18,6 +19,15 @@ from .config import Config, load_config
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+class _Workers(argparse.Action):
+    """--workers of the pooled commands: a count below 1 is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, not {value}")
+        setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", required=True, type=int)
     q.add_argument("--oracle", action="store_true",
                    help="force exhaustive enumeration instead of formulas")
-    q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--workers", type=int, default=1, action=_Workers)
     q.add_argument("--max-size", type=int, default=None,
                    help="override the exhaustive bound")
 
@@ -73,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", required=True, type=int)
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--trees", action="store_true", help="sample trees instead of mappings")
-    q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--workers", type=int, default=1, action=_Workers)
 
     q = sub.add_parser("verify-all", help="exhaustive small-size verification suite")
     q.add_argument("--n-max", type=int, default=6)
@@ -160,20 +170,23 @@ def _cmd_series(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_verify_series(args, cfg: Config) -> int:
-    order = args.order if args.order is not None else cfg.series_order
-    f = series.tree_series(order)
-    checks = {
-        "pde-residual-zero": series.pde_residual(f).is_zero(),
-        "mapping-equals-1-plus-z-dF": series.check_mapping_from_tree_derivative(order),
-        "aux-tree-relation": series.check_aux_tree_relation(order),
-        "exp-connected-equals-mapping": series.check_exp_connected_is_mapping(order),
-    }
+def _report(checks) -> int:
+    """Print PASS or FAIL for each (name, passed) as it comes; 0 if all passed, else 1."""
     ok = True
-    for name, passed in checks.items():
+    for name, passed in checks:
         ok &= passed
         print(f"{'PASS' if passed else 'FAIL'} {name}")
     return 0 if ok else 1
+
+
+def _cmd_verify_series(args, cfg: Config) -> int:
+    order = args.order if args.order is not None else cfg.series_order
+    return _report([
+        ("pde-residual-zero", series.pde_residual(series.tree_series(order)).is_zero()),
+        ("mapping-equals-1-plus-z-dF", series.check_mapping_from_tree_derivative(order)),
+        ("aux-tree-relation", series.check_aux_tree_relation(order)),
+        ("exp-connected-equals-mapping", series.check_exp_connected_is_mapping(order)),
+    ])
 
 
 def _cmd_asymptotics(args, _cfg: Config) -> int:
@@ -214,21 +227,15 @@ def _cmd_mc(args, cfg: Config) -> int:
 
 
 def _cmd_verify_all(args, cfg: Config) -> int:
-    import itertools
+    return _report(_exhaustive_checks(args.n_max, cfg.exhaustive_bound))
 
-    n_max = args.n_max
-    bound = cfg.exhaustive_bound
+
+def _exhaustive_checks(n_max: int, bound: int):
+    """(name, passed) for each exhaustive check, yielded as it finishes; n_max is checked first."""
     if n_max < 1:
         raise ValueError(f"n-max={n_max} must be positive")
     if n_max > bound:
         raise exact.SizeTooLargeError(f"n-max={n_max} exceeds exhaustive bound {bound}")
-    ok = True
-
-    def report(name: str, passed: bool) -> None:
-        nonlocal ok
-        ok &= passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
-
     for n in range(1, n_max + 1):
         good_round = good_runs = good_part = True
         for img in itertools.product(range(1, n + 1), repeat=n):
@@ -239,18 +246,17 @@ def _cmd_verify_all(args, cfg: Config) -> int:
                           == runs.run_starts_mapping(m).starts)
             partition, links = bijections.encode_partition(m)
             good_part &= bijections.decode_partition(partition, links) == m
-        report(f"bijection-round-trip n={n}", good_round)
-        report(f"run-preservation n={n}", good_runs)
-        report(f"partition-round-trip n={n}", good_part)
+        yield f"bijection-round-trip n={n}", good_round
+        yield f"run-preservation n={n}", good_runs
+        yield f"partition-round-trip n={n}", good_part
         tree_t, map_t, _ = exact.brute_force_tables(n, max_size=bound)
-        report(f"tree-table-matches-formula n={n}",
+        yield (f"tree-table-matches-formula n={n}",
                tree_t.values == exact.tree_run_table(n).values)
-        report(f"mapping-table-matches-formula n={n}",
+        yield (f"mapping-table-matches-formula n={n}",
                map_t.values == exact.mapping_run_table(n).values)
-        report(f"valid-pairs-match-mapping-counts n={n}",
+        yield (f"valid-pairs-match-mapping-counts n={n}",
                all(bijections.count_valid_pairs(n, m_, max_size=bound)
                    == exact.mapping_runs(n, m_) for m_ in range(1, n + 1)))
-    return 0 if ok else 1
 
 
 _COMMANDS = {

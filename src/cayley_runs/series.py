@@ -23,6 +23,7 @@ n! [z^n v^m]:
 * mapping_series     is  1 / (1 - z v e^A),  counting mappings by runs,
 * connected_series   is  ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)),
   counting connected mappings by runs; its exp is the mapping series.
+  Both read v e^A = A/z - (1 - v) off A, so only A's sweep computes e^A.
 """
 
 from __future__ import annotations
@@ -221,14 +222,6 @@ def _log(p: list, order: int) -> list:
     return out
 
 
-def _exp_of(a: list, order: int) -> list:
-    """e^S up to z^order from the EGF integers a of S (zero constant term)."""
-    e: list = [[1]]
-    while len(e) <= order:
-        e.append(_exp_next(a, e))
-    return e
-
-
 def auxiliary_series(order: int) -> BivariateSeries:
     """Unique zero-at-origin solution of A = z (v e^A + 1 - v).
 
@@ -270,11 +263,10 @@ def tree_series(order: int) -> BivariateSeries:
 def mapping_series(order: int) -> BivariateSeries:
     """Run-marked mapping series 1 / (1 - z v e^A) with A the auxiliary series.
 
-    With t_j = j! [z^j] z v e^A = j v e_{j-1}, the reciprocal R = 1 + T R
-    gives r_0 = 1 and r_n = sum_{j=1..n} C(n, j) t_j r_{n-j}.
+    By A's equation T = z v e^A = A - (1 - v) z, so t_j = j! [z^j] T is v for j = 1
+    and a_j for j >= 2.  R = 1 + T R gives r_n = sum_{j=1..n} C(n, j) t_j r_{n-j}.
     """
-    e = _exp_of(auxiliary_series(order).egf, order - 1)
-    t = [[]] + [[0] + [j * x for x in e[j - 1]] for j in range(1, order + 1)]
+    t = [[], [0, 1], *auxiliary_series(order).egf[2:]]
     r: list = [[1]]
     for n in range(1, order + 1):
         r.append(_binomial_conv(n, t, r, range(1, n + 1)))
@@ -284,15 +276,16 @@ def mapping_series(order: int) -> BivariateSeries:
 def connected_series(order: int) -> BivariateSeries:
     """Run-marked connected-mapping series.
 
-    ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)); both factors have
-    constant term 1, so each log follows from P' = L' P coefficient by
-    coefficient over the EGF integers, and the series is their difference.
+    ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) = ln(A/z) - ln(A/z - (v e^A) A)
+    by A's equation.  Row k of A/z is a_{k+1} / (k+1), and so is row k >= 1 of
+    v e^A (row 0 is v): exact, as the A sweep sets a_{k+1} = (k+1) v e_k.  Both
+    logs have constant term 1 and follow from P' = L' P over the EGF integers.
     """
-    a = auxiliary_series(order).egf
-    e = _exp_of(a, order)
-    numer = [[1]] + [[0] + e[k] for k in range(1, order + 1)]
-    denom = [[1]] + [[0] + _add(e[k], _binomial_conv(k, a, e, range(1, k + 1)), -1)
-                     for k in range(1, order + 1)]
+    a = auxiliary_series(order + 1).egf
+    numer = [[x // (k + 1) for x in a[k + 1]] for k in range(order + 1)]
+    ve = [[0, 1]] + numer[1:]
+    denom = [_add(numer[k], _binomial_conv(k, a, ve, range(1, k + 1)), -1)
+             for k in range(order + 1)]
     c = [_add(p, q, -1) for p, q in zip(_log(numer, order), _log(denom, order))]
     return BivariateSeries(order, c)
 
@@ -330,7 +323,7 @@ def check_aux_tree_relation(order: int) -> bool:
 
 
 def check_exp_connected_is_mapping(order: int) -> bool:
-    """exp of the connected series reproduces the mapping series."""
+    """exp(C) = R.  Both read v e^A off one A, so this tests the formulas, not A itself."""
     return (connected_series(order).exp() - mapping_series(order)).is_zero()
 
 

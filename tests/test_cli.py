@@ -152,6 +152,36 @@ def test_verify_all_small(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_prints_each_check_as_it_finishes(capsys, monkeypatch):
+    from cayley_runs import exact
+
+    tables = exact.brute_force_tables
+    seen = []
+
+    def watched(n, *args, **kwargs):
+        seen.append(capsys.readouterr().out)
+        return tables(n, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "brute_force_tables", watched)
+    assert run_cli(["verify-all", "--n-max", "2"]) == 0
+    seen.append(capsys.readouterr().out)
+    # the bijection lines of each n are out before its oracle scan starts
+    assert [chunk.count("PASS ") for chunk in seen] == [3, 6, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--n", "10", "--samples", "10", "--workers", "-3"],
+    ["table", "--oracle", "--kind", "mapping", "--n", "7", "--workers", "0"],
+    ["table", "--kind", "mapping", "--n", "3", "--workers", "0"],
+])
+def test_workers_below_one_is_a_usage_error(capsys, argv):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --workers: must be at least 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_all_is_bounded(capsys):
     # n-max above the exhaustive bound is refused before any check runs
     assert run_cli(["verify-all", "--n-max", "8"]) == 2

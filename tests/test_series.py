@@ -208,6 +208,104 @@ def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
     def unusable(*args):
         raise AssertionError("the series arithmetic called a solver helper")
 
-    for name in ("_binomial_conv", "_exp_next", "_log", "_exp_of"):
+    for name in ("_binomial_conv", "_exp_next", "_log"):
         monkeypatch.setattr(series, name, unusable)
     assert pde_residual(f).is_zero()
+
+
+def _exp_of(a, order):
+    """e^S up to z^order from the EGF integers a of S, one _exp_next step per order."""
+    e = [[1]]
+    while len(e) <= order:
+        e.append(series._exp_next(a, e))
+    return e
+
+
+def _reference_mapping_series(order):
+    """1 / (1 - z v e^A) with e^A recomputed from A's rows."""
+    e = _exp_of(auxiliary_series(order).egf, order - 1)
+    t = [[]] + [[0] + [j * x for x in e[j - 1]] for j in range(1, order + 1)]
+    r = [[1]]
+    for n in range(1, order + 1):
+        r.append(series._binomial_conv(n, t, r, range(1, n + 1)))
+    return BivariateSeries(order, r)
+
+
+def _reference_connected_series(order):
+    """ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) with e^A recomputed from A's rows."""
+    a = auxiliary_series(order).egf
+    e = _exp_of(a, order)
+    numer = [[1]] + [[0] + e[k] for k in range(1, order + 1)]
+    a_e = [series._binomial_conv(k, a, e, range(1, k + 1)) for k in range(order + 1)]
+    denom = [[1]] + [[0] + series._add(e[k], a_e[k], -1) for k in range(1, order + 1)]
+    return BivariateSeries(order, [series._add(p, q, -1) for p, q in
+                                   zip(series._log(numer, order), series._log(denom, order))])
+
+
+def test_solvers_match_the_exponential_reference():
+    # v e^A read off A's own equation gives the series that recomputing e^A gives
+    for order in range(31):
+        assert mapping_series(order) == _reference_mapping_series(order)
+        assert connected_series(order) == _reference_connected_series(order)
+
+
+def test_exponential_steps_run_only_in_the_auxiliary_sweep(monkeypatch):
+    exp_next, aux = series._exp_next, series.auxiliary_series
+    depth = [0]
+    calls = {"inside": 0, "outside": 0}
+
+    def counted_exp_next(a, e):
+        calls["inside" if depth[0] else "outside"] += 1
+        return exp_next(a, e)
+
+    def traced_aux(order):
+        depth[0] += 1
+        try:
+            return aux(order)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(series, "_exp_next", counted_exp_next)
+    monkeypatch.setattr(series, "auxiliary_series", traced_aux)
+    for order in (1, 2, 14, 30):
+        for solver, steps in ((mapping_series, order - 1), (connected_series, order)):
+            calls.update(inside=0, outside=0)
+            solver(order)
+            assert calls == {"inside": steps, "outside": 0}, (solver.__name__, order)
+
+
+def test_a_wrong_auxiliary_series_fails_checks_2_and_3(capsys, monkeypatch):
+    # a_3 off by a multiple of 3 keeps every division by the index exact, so only the
+    # checks that re-derive A's relations can see it; check 4 alone cannot
+    aux = series.auxiliary_series
+
+    def perturbed(order):
+        rows = [list(p) for p in aux(order).egf]
+        if order >= 3:
+            rows[3][1] += 3
+        return BivariateSeries(order, rows)
+
+    monkeypatch.setattr(series, "auxiliary_series", perturbed)
+    assert run_cli(["verify-series", "--order", "8"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS pde-residual-zero\n"
+        "FAIL mapping-equals-1-plus-z-dF\n"
+        "FAIL aux-tree-relation\n"
+        "PASS exp-connected-equals-mapping\n")
+
+
+def test_exp_connected_check_catches_a_wrong_denominator():
+    # ln(A/z) - ln(A/z -+ (v e^A) A): the minus sign is connected_series, the
+    # (1 + A) mutant of its denominator must make exp(C) differ from R
+    order = 8
+    a = auxiliary_series(order + 1)
+    numer = BivariateSeries(order, [[x // (k + 1) for x in a.egf[k + 1]]
+                                    for k in range(order + 1)])
+    v_ea = numer - 1 + BivariateSeries.v(order)
+    r = mapping_series(order)
+    for sign, is_connected in ((-1, True), (1, False)):
+        denom = numer + sign * v_ea * a.truncate(order)
+        logs = [series._log([list(p) for p in s.egf], order) for s in (numer, denom)]
+        c = BivariateSeries(order, [series._add(p, q, -1) for p, q in zip(*logs)])
+        assert (c == connected_series(order)) is is_connected
+        assert (c.exp() - r).is_zero() is is_connected
