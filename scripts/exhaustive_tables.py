@@ -14,12 +14,13 @@ import argparse
 import time
 
 from cayley_runs import brute_force_tables, mapping_runs, tree_runs
+from cayley_runs.cli import AtLeastOne
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-max", type=int, default=7)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--n-max", type=int, default=7, action=AtLeastOne)
+    ap.add_argument("--workers", type=int, default=1, action=AtLeastOne)
     args = ap.parse_args()
 
     for n in range(1, args.n_max + 1):

@@ -8,11 +8,12 @@ subcommands), 1 check failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-from . import asymptotics, bijections, core, exact, montecarlo, runs, series
+import numpy as np
+
+from . import asymptotics, bijections, core, exact, kernels, montecarlo, runs, series
 from .config import Config, load_config
 
 
@@ -21,8 +22,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-class _Workers(argparse.Action):
-    """--workers of the pooled commands: a count below 1 is a usage error."""
+class AtLeastOne(argparse.Action):
+    """A count flag such as --workers: a value below 1 is a usage error."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         if value < 1:
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", required=True, type=int)
     q.add_argument("--oracle", action="store_true",
                    help="force exhaustive enumeration instead of formulas")
-    q.add_argument("--workers", type=int, default=1, action=_Workers)
+    q.add_argument("--workers", type=int, default=1, action=AtLeastOne)
     q.add_argument("--max-size", type=int, default=None,
                    help="override the exhaustive bound")
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", required=True, type=int)
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--trees", action="store_true", help="sample trees instead of mappings")
-    q.add_argument("--workers", type=int, default=1, action=_Workers)
+    q.add_argument("--workers", type=int, default=1, action=AtLeastOne)
 
     q = sub.add_parser("verify-all", help="exhaustive small-size verification suite")
     q.add_argument("--n-max", type=int, default=6)
@@ -230,6 +231,59 @@ def _cmd_verify_all(args, cfg: Config) -> int:
     return _report(_exhaustive_checks(args.n_max, cfg.exhaustive_bound))
 
 
+_VERIFY_CELLS = 1 << 14  # cells per verify-all block: its checks peak under 1 MiB
+
+
+def _array_blocks(n: int):
+    """Every array of [n]^n in ``itertools.product`` order, in blocks of <= _VERIFY_CELLS cells."""
+    step = max(1, _VERIFY_CELLS // n)
+    place = n ** np.arange(n - 1, -1, -1)
+    for start in range(0, n ** n, step):
+        rows = np.arange(start, min(start + step, n ** n))[:, None]
+        yield (rows // place % n + 1).astype(np.min_scalar_type(n))
+
+
+def _labels(mask) -> frozenset[int]:
+    return frozenset((np.flatnonzero(mask) + 1).tolist())
+
+
+def _check_block(images) -> tuple[bool, bool, bool]:
+    """(tree round trip, run preservation, partition round trip) hold on every row.
+
+    The round trips must give valid trees (one cycle, a fixed point) and
+    valid pairs back.  Each link shifted by one gives a second pair per
+    row, which the decoder must accept exactly when it re-encodes to
+    itself.  Row 0 also goes through the scalar functions behind
+    ``phi-inv``, ``runs`` and ``partition encode``, which must agree.
+    """
+    n = images.shape[1]
+    parents, marks = kernels.mapping_to_tree(images)
+    one_root = np.count_nonzero(parents == np.arange(1, n + 1), axis=1) == 1
+    round_trip = ((kernels.cycles(parents)[1] == 1) & one_root).all() and np.array_equal(
+        kernels.tree_to_mapping(parents, marks), images)
+    starts = kernels.run_starts(images)
+    same_runs = np.array_equal(kernels.run_starts(parents), starts)
+    blocks, links = kernels.encode_partition(images)
+    back, valid = kernels.decode_partition(blocks, links)
+    partition = valid.all() and np.array_equal(back, images)
+    shifted = np.where(links > 0, links % n + 1, 0)
+    back, valid = kernels.decode_partition(blocks, shifted)
+    again, again_links = kernels.encode_partition(back)
+    moved = kernels.any_per_row((again != blocks) | (again_links != shifted))
+    partition &= np.array_equal(valid, ~moved)
+
+    m = core.make_mapping(images[0].tolist())
+    mt = bijections.mapping_to_tree(m)
+    round_trip &= (mt.tree.parent, mt.mark) == (tuple(parents[0].tolist()), marks[0])
+    same_runs &= (runs.run_starts_mapping(m).starts == runs.run_starts_tree(mt.tree).starts
+                  == _labels(starts[0]))
+    scalar_partition, scalar_links = bijections.encode_partition(m)
+    partition &= (scalar_links == tuple(links[0, :len(scalar_links)].tolist())
+                  and list(scalar_partition.blocks)
+                  == [_labels(blocks[0] == b) for b in range(len(scalar_links))])
+    return bool(round_trip), bool(same_runs), bool(partition)
+
+
 def _exhaustive_checks(n_max: int, bound: int):
     """(name, passed) for each exhaustive check, yielded as it finishes; n_max is checked first."""
     if n_max < 1:
@@ -237,18 +291,12 @@ def _exhaustive_checks(n_max: int, bound: int):
     if n_max > bound:
         raise exact.SizeTooLargeError(f"n-max={n_max} exceeds exhaustive bound {bound}")
     for n in range(1, n_max + 1):
-        good_round = good_runs = good_part = True
-        for img in itertools.product(range(1, n + 1), repeat=n):
-            m = core.make_mapping(img)
-            mt = bijections.mapping_to_tree(m)
-            good_round &= bijections.tree_to_mapping(mt) == m
-            good_runs &= (runs.run_starts_tree(mt.tree).starts
-                          == runs.run_starts_mapping(m).starts)
-            partition, links = bijections.encode_partition(m)
-            good_part &= bijections.decode_partition(partition, links) == m
-        yield f"bijection-round-trip n={n}", good_round
-        yield f"run-preservation n={n}", good_runs
-        yield f"partition-round-trip n={n}", good_part
+        good = [True, True, True]
+        for images in _array_blocks(n):
+            good = [g and ok for g, ok in zip(good, _check_block(images))]
+        yield f"bijection-round-trip n={n}", good[0]
+        yield f"run-preservation n={n}", good[1]
+        yield f"partition-round-trip n={n}", good[2]
         tree_t, map_t, _ = exact.brute_force_tables(n, max_size=bound)
         yield (f"tree-table-matches-formula n={n}",
                tree_t.values == exact.tree_run_table(n).values)

@@ -3,14 +3,23 @@
 Row r of ``images`` is one mapping [n] -> [n] (or one parent array, the
 root self-parented).  Each kernel answers one question for every row at
 once, in numpy, and is cross-checked in the tests against the scalar
-per-value functions in ``core`` and ``runs``.  Entries must lie in
-[1, n]: callers generate them, and the kernels do not check them.
-``cycles`` is the one pointer-doubling walk: the brute-force oracle in
-``exact`` builds its suffix and contracted-prefix tables with it.
-``run_counts`` scatters in row blocks of at most ``_BLOCK_CELLS`` cells, so
-its temporaries stay in cache and its memory does not grow with the rows.
-``pooled_sum`` spreads such batched work over worker processes, and
-``pool_size`` says how many it starts.
+per-value functions in ``core``, ``runs`` and ``bijections``.  Entries
+must lie in [1, n]: callers generate them, and the kernels do not check
+them.  The bijections return labels in the input's dtype, so a caller
+may pass the narrowest unsigned type that holds n.
+
+``_climb`` is the one pointer-doubling walk.  ``cycles`` counts cycles
+with it, for the suffix and contracted-prefix tables of the brute-force
+oracle in ``exact``, and the batched tree bijection finds cycle maxima
+and ancestor maxima with it.  ``mapping_to_tree`` and
+``tree_to_mapping`` are the tree bijection of ``bijections``;
+``run_starts`` is the run-start predicate of ``runs``;
+``encode_partition`` and ``decode_partition`` are the run-partition
+bijection, a partition given as each label's block index.
+``run_counts`` scatters in row blocks of at most ``_BLOCK_CELLS`` cells,
+so its temporaries stay in cache and its memory does not grow with the
+rows.  ``pooled_sum`` spreads such batched work over worker processes,
+and ``pool_size`` says how many it starts.
 """
 
 from __future__ import annotations
@@ -41,13 +50,26 @@ def pooled_sum(func, jobs: list[tuple], workers: int):
         return sum(pool.starmap(func, jobs))
 
 
+def _smaller_preimage_marks(block: np.ndarray) -> np.ndarray:
+    """(k, n) bool: [r, j - 1] is True when some column i < j of row r maps to j.
+
+    One flat scatter: cell (r, i) with image j > i marks flat index
+    r (n + 1) + j of a zeroed bool array of shape (k, n + 1), and every
+    non-ascent marks flat index 0, which is row 0's column 0 and is
+    dropped with the rest of column 0.
+    """
+    k, n = block.shape
+    idx = block + np.arange(0, k * (n + 1), n + 1)[:, None]
+    np.multiply(idx, block > np.arange(1, n + 1), out=idx)
+    marked = np.zeros(k * (n + 1), dtype=bool)
+    marked[idx] = True
+    return marked.reshape(k, n + 1)[:, 1:]
+
+
 def run_counts(images: np.ndarray) -> np.ndarray:
     """Run count of each row: n minus the nodes j that some column i < j maps to.
 
-    One flat scatter per block of rows: cell (r, i) of a block with image
-    j > i marks flat index r (n + 1) + j of a zeroed bool array of shape
-    (block rows, n + 1), and every non-ascent marks flat index 0, which
-    is row 0's column 0 and is discarded with the rest of column 0.  A
+    ``_smaller_preimage_marks`` scatters one block of rows at a time.  A
     block holds at most ``_BLOCK_CELLS`` cells (one row when n exceeds
     it), so the int64 index array and the bool array stay in cache
     however many rows come in.  The block size is a constant, not an
@@ -55,40 +77,177 @@ def run_counts(images: np.ndarray) -> np.ndarray:
     """
     rows, n = images.shape
     step = max(1, min(rows, _BLOCK_CELLS // max(n, 1)))
-    ascent_floor = np.arange(1, n + 1)
-    offsets = np.arange(0, step * (n + 1), n + 1)[:, None]
     counts = np.empty(rows, dtype=np.intp)
     for start in range(0, rows, step):
         block = images[start:start + step]
-        k = len(block)
-        idx = block + offsets[:k]
-        np.multiply(idx, block > ascent_floor, out=idx)
-        blocked = np.zeros(k * (n + 1), dtype=bool)
-        blocked[idx] = True
-        del idx  # freed before the next block builds its own
-        counts[start:start + k] = n - np.count_nonzero(blocked.reshape(k, n + 1)[:, 1:], axis=1)
+        counts[start:start + len(block)] = n - np.count_nonzero(
+            _smaller_preimage_marks(block), axis=1)
     return counts
+
+
+def run_starts(images: np.ndarray) -> np.ndarray:
+    """Run-start mask: [r, j - 1] is True when no column i < j of row r maps to j.
+
+    One scatter over all rows, so callers pass blocks of a bounded size.
+    """
+    return ~_smaller_preimage_marks(images)
+
+
+def any_per_row(mask: np.ndarray) -> np.ndarray:
+    """mask.any(axis=1) as a bool matrix product, several times faster along a short row."""
+    return mask @ np.ones(mask.shape[1], dtype=bool)
+
+
+def _offsets(rows: int, n: int) -> np.ndarray:
+    """(rows, 1) column r n - 1: added to 1-based labels of row r it gives their flat indices."""
+    return (np.arange(rows) * n - 1)[:, None]
+
+
+def _climb(pointers: np.ndarray, n: int, extreme) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling over flat indices: (g, best) after k = ceil(log2 n) squarings.
+
+    g = f^(2^k) and best[i] is the ``extreme`` (``np.minimum`` or
+    ``np.maximum``) of the 0-based labels of f^0(i), ..., f^(2^k - 1)(i).
+    Since 2^k >= n, g[i] lies on the cycle that the path from i reaches,
+    best[g[i]] is that cycle's extreme label, and best[i] covers every
+    node on the path from i to that cycle.  Flat indices let ``np.take``
+    gather without per-axis fancy indexing.
+    """
+    rows = len(pointers)
+    # labels in the narrowest dtype: gathering bytes instead of int64 halves the cost
+    best = np.broadcast_to(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, n))
+    g = pointers
+    for _ in range((n - 1).bit_length()):
+        best = extreme(best, np.take(best, g, mode="clip"))
+        g = np.take(g, g, mode="clip")
+    return g, best
 
 
 def cycles(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each node's path ends, and each row's number of cycles, by pointer doubling.
 
-    After k = ceil(log2 n) squarings g = f^(2^k) and mn[i] is the smallest
-    label among the first 2^k iterates of i.  Since 2^k >= n, g[i] lies on
-    the cycle that the path from i reaches, and mn[g[i]] is that cycle's
-    smallest label; so a row has as many cycles as nodes i with
-    mn[g[i]] = i.  Returns g as 1-based labels, shaped like ``images``,
-    and the cycle counts.  Indices are flat offsets into the (rows, n)
-    block, which lets ``np.take`` gather without per-axis fancy indexing.
+    With ``_climb`` taking minima, mn[g[i]] is the smallest label of the
+    cycle that the path from i reaches, so a row has as many cycles as
+    nodes i with mn[g[i]] = i.  Returns g = f^(2^k) as 1-based labels,
+    shaped like ``images``, and the cycle counts.
     """
     rows, n = images.shape
-    offsets = (np.arange(rows) * n - 1)[:, None]
-    g = images + offsets
-    # labels in the narrowest dtype: gathering bytes instead of int64 halves the cost
-    labels = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    mn = np.broadcast_to(labels, (rows, n))
-    for _ in range((n - 1).bit_length()):
-        mn = np.minimum(mn, np.take(mn, g, mode="clip"))
-        g = np.take(g, g, mode="clip")
+    offsets = _offsets(rows, n)
+    g, mn = _climb(images + offsets, n, np.minimum)
     cycle_min = np.take(mn, g, mode="clip")
-    return g - offsets, np.count_nonzero(cycle_min == labels, axis=1)
+    return g - offsets, np.count_nonzero(cycle_min == np.arange(n), axis=1)
+
+
+def mapping_to_tree(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent arrays and marks of ``bijections.mapping_to_tree``, row by row.
+
+    With the cycle maxima c_1 > ... > c_t and d_i = f(c_i), c_i takes the
+    parent d_{i+1}, c_t becomes the root and d_1 the mark.  Taking maxima,
+    ``_climb`` marks node c as a cycle maximum exactly when the cycle its
+    path reaches peaks at c, which only c's own cycle can.  c_{i+1} is the
+    largest cycle maximum below c_i, read off a running maximum.
+    """
+    rows, n = images.shape
+    offsets = _offsets(rows, n)
+    g, top = _climb(images + offsets, n, np.maximum)
+    labels = np.arange(1, n + 1, dtype=images.dtype)
+    peaks = np.take(top, g, mode="clip") == labels - 1
+    peak_at_most = np.maximum.accumulate(np.where(peaks, labels, 0), axis=1)
+    below = np.zeros_like(peak_at_most)  # the largest cycle maximum < j, or 0
+    below[:, 1:] = peak_at_most[:, :-1]
+    # below = 0 gathers a neighbouring cell, which np.where then drops
+    relinked = np.where(below > 0, np.take(images, below + offsets, mode="clip"), labels)
+    parents = np.where(peaks, relinked, images)
+    marks = np.take(images, peak_at_most[:, -1] + offsets[:, 0])
+    return parents, marks
+
+
+def tree_to_mapping(parents: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Images of ``bijections.tree_to_mapping`` for each (parent array, mark) row.
+
+    A node on the path from the mark to the root is a right-to-left
+    maximum of that path exactly when it exceeds all its strict
+    ancestors, the maximum that ``_climb`` finds from its parent; the
+    root always is one.  An n-step walk from the mark re-wires those
+    maxima: the first maps to the mark, each later one to the parent of
+    the previous one, and every other node keeps its parent.
+    """
+    rows, n = parents.shape
+    offsets = _offsets(rows, n)
+    up = parents + offsets
+    _, best = _climb(up, n, np.maximum)
+    labels = np.arange(1, n + 1)
+    roots = parents == labels
+    maxima = ((np.take(best, up) < labels - 1) | roots).ravel()
+    roots = roots.ravel()
+    images = parents.copy().ravel()
+    cur = marks + offsets[:, 0]
+    carry = marks
+    live = np.ones(rows, dtype=bool)
+    for _ in range(n):
+        here = live & maxima[cur]
+        images[cur[here]] = carry[here]
+        carry = np.where(here, np.take(parents, cur), carry)
+        live &= ~roots[cur]
+        cur = np.take(up, cur)
+    return images.reshape(rows, n)
+
+
+def encode_partition(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run partition of each row as (block index of each label, link of each block).
+
+    As in ``bijections.encode_partition``, a label t is a block's top
+    exactly when it is not down[f(t)], the largest smaller preimage of its
+    image, and any other label j shares the block of f(j) > j.  Blocks
+    are numbered by decreasing top, 0 for the largest, so one scan down
+    the labels numbers each top by the tops it has passed and gives every
+    other label the block of its image, which it has already placed.
+    links[r, b] is f(top of block b), and 0 past the last block.
+    """
+    rows, n = images.shape
+    every = np.arange(rows)
+    down = np.zeros((rows, n + 1), dtype=images.dtype)
+    for i in range(n):  # later columns overwrite: each j keeps its largest smaller preimage
+        column = images[:, i]
+        down[every, np.where(column > i + 1, column, 0)] = i + 1
+    tops = np.take(down, images + (every * (n + 1))[:, None]) != np.arange(1, n + 1)
+    blocks = np.empty((rows, n), dtype=images.dtype)
+    links = np.zeros((rows, n + 1), dtype=images.dtype)  # column n collects the non-tops
+    passed = np.zeros(rows, dtype=np.intp)
+    for j in range(n - 1, -1, -1):
+        top, image = tops[:, j], images[:, j]
+        blocks[:, j] = np.where(top, passed, np.take(blocks, image + every * n - 1, mode="clip"))
+        links[every, np.where(top, passed, n)] = image
+        passed += top
+    return blocks, links[:, :n]
+
+
+def decode_partition(blocks: np.ndarray, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images rebuilt from block indices and links alone, and which pairs are valid.
+
+    ``blocks`` numbers each row's blocks 0, 1, ... without gaps and
+    ``links`` holds their links in its first columns.  Within a block each
+    label maps to the next larger one and the top to the block's link.
+    As ``bijections.decode_partition`` proves, a pair re-encodes to itself
+    exactly when the tops strictly decrease with the block index and no
+    block with top t and link x has pred[x] < t < x, where pred[x] is the
+    next smaller label in x's block, or 0.
+    """
+    rows, n = blocks.shape
+    wide = np.arange(0, rows * (n + 1), n + 1)[:, None]  # row starts of (rows, n + 1) tables
+    slots = blocks + np.arange(0, rows * n, n)[:, None]  # flat (row, block) indices
+    last = np.zeros(rows * n, dtype=links.dtype)  # per slot, the largest label placed so far
+    pred = np.zeros((rows, n + 1), dtype=links.dtype)  # column 0 serves the unused links
+    for a in range(1, n + 1):
+        slot = slots[:, a - 1]
+        pred[:, a] = last[slot]
+        last[slot] = a
+    tops = last.reshape(rows, n)
+    # a label writes itself after its predecessor; a block's least goes to the dropped column 0
+    follow = np.zeros(rows * (n + 1), dtype=links.dtype)
+    follow[pred[:, 1:] + wide] = np.arange(1, n + 1)
+    follow = follow.reshape(rows, n + 1)[:, 1:]
+    images = np.where(follow > 0, follow, np.take(links, slots))
+    bad = (np.take(pred, links + wide) < tops) & (tops < links)  # forbidden links
+    bad[:, 1:] |= (tops[:, 1:] >= tops[:, :-1]) & (tops[:, 1:] > 0)  # tops not decreasing
+    return images, ~any_per_row(bad)

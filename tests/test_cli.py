@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cayley_runs
 from cayley_runs.cli import run_cli
 
 from conftest import FIG_MAPPING, FIG_RUN_STARTS, FIG_TREE_PARENT
@@ -169,6 +174,56 @@ def test_verify_all_prints_each_check_as_it_finishes(capsys, monkeypatch):
     assert [chunk.count("PASS ") for chunk in seen] == [3, 6, 3]
 
 
+def _swap_first_two_parents(real):
+    def wrong(images):
+        parents, marks = real(images)
+        if parents.shape[1] > 1:
+            differ = parents[:, 0] != parents[:, 1]
+            parents[differ, :2] = parents[differ, 1::-1]
+        return parents, marks
+    return wrong
+
+
+def _flip_last_start(real):
+    def wrong(images):
+        starts = real(images)
+        n = images.shape[1]
+        starts[images[:, -1] == n, -1] ^= True  # rows that fix n
+        return starts
+    return wrong
+
+
+def _shift_first_link(real):
+    def wrong(images):
+        blocks, links = real(images)
+        links[:, 0] = links[:, 0] % images.shape[1] + 1
+        return blocks, links
+    return wrong
+
+
+def _accept_a_forbidden_pair(real):
+    def wrong(blocks, links):
+        images, valid = real(blocks, links)
+        valid[np.argmin(valid)] = True  # the first rejected pair, if any
+        return images, valid
+    return wrong
+
+
+@pytest.mark.parametrize("kernel, mutate, check", [
+    ("mapping_to_tree", _swap_first_two_parents, "bijection-round-trip"),
+    ("run_starts", _flip_last_start, "run-preservation"),
+    ("encode_partition", _shift_first_link, "partition-round-trip"),
+    ("decode_partition", _accept_a_forbidden_pair, "partition-round-trip"),
+])
+def test_verify_all_detects_a_wrong_kernel(capsys, monkeypatch, kernel, mutate, check):
+    from cayley_runs import kernels
+
+    monkeypatch.setattr(kernels, kernel, mutate(getattr(kernels, kernel)))
+    code, out = run(capsys, "verify-all", "--n-max", "4")
+    assert code == 1
+    assert any(line.startswith(f"FAIL {check} n=") for line in out.splitlines())
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--n", "10", "--samples", "10", "--workers", "-3"],
     ["table", "--oracle", "--kind", "mapping", "--n", "7", "--workers", "0"],
@@ -180,6 +235,22 @@ def test_workers_below_one_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert "argument --workers: must be at least 1" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--n-max", "0"), ("--n-max", "-3"), ("--workers", "0")])
+def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
+    # it used to compare no table at all and still print that all of them match
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(cayley_runs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(root / "scripts" / "exhaustive_tables.py"),
+                          flag, value], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"argument {flag}: must be at least 1, not {value}" in out.stderr
+    assert out.stderr.startswith("usage: ")
+    assert "Traceback" not in out.stderr
 
 
 def test_verify_all_is_bounded(capsys):

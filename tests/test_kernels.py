@@ -16,8 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cayley_runs
-from cayley_runs import (brute_force_tables, components, make_mapping, run_starts_mapping,
-                         run_statistics)
+from cayley_runs import (InvalidLinkSequenceError, MarkedTree, OrderedSetPartition,
+                         brute_force_tables, components, decode_partition, encode_partition,
+                         make_mapping, make_tree, mapping_to_tree, run_starts_mapping,
+                         run_starts_tree, run_statistics, tree_to_mapping)
+from cayley_runs import cli, kernels
+from cayley_runs.bijections import _set_partitions
 from cayley_runs.kernels import cycles, run_counts
 
 
@@ -86,6 +90,109 @@ def test_run_counts_memory_does_not_grow_with_the_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20  # the unblocked kernel peaks at 20 MiB on this chunk
+
+
+def _labels(mask_row):
+    return frozenset((np.flatnonzero(mask_row) + 1).tolist())
+
+
+def _assert_bijections_match_scalar(images):
+    """Every batched bijection kernel against the scalar functions, row by row."""
+    parents, marks = kernels.mapping_to_tree(images)
+    back = kernels.tree_to_mapping(parents, marks)
+    map_starts, tree_starts = kernels.run_starts(images), kernels.run_starts(parents)
+    blocks, links = kernels.encode_partition(images)
+    for k, row in enumerate(images.tolist()):
+        m = make_mapping(row)
+        mt = mapping_to_tree(m)
+        assert tuple(parents[k].tolist()) == mt.tree.parent and marks[k] == mt.mark
+        assert back[k].tolist() == row
+        assert _labels(map_starts[k]) == run_starts_mapping(m).starts
+        assert _labels(tree_starts[k]) == run_starts_tree(mt.tree).starts
+        partition, scalar_links = encode_partition(m)
+        assert [_labels(blocks[k] == b) for b in range(len(partition.blocks))] == \
+            list(partition.blocks)
+        assert blocks[k].max() == len(partition.blocks) - 1
+        assert links[k].tolist() == [*scalar_links, *[0] * (len(row) - len(scalar_links))]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bijection_kernels_exhaustive(n):
+    # uint8, as verify-all passes them; the random blocks below are int64
+    images = np.array(list(itertools.product(range(1, n + 1), repeat=n)), dtype=np.uint8)
+    _assert_bijections_match_scalar(images)
+
+
+def _random_trees(rng, rows, n):
+    """Parent arrays grown by attaching each node of a random order below an earlier one."""
+    parents = np.empty((rows, n), dtype=np.int64)
+    for r in range(rows):
+        order = rng.permutation(n) + 1
+        parents[r, order[0] - 1] = order[0]
+        for k in range(1, n):
+            parents[r, order[k] - 1] = order[rng.integers(k)]
+    return parents
+
+
+@pytest.mark.parametrize("rows, n", [(300, 7), (40, 50), (8, 300)])
+def test_bijection_kernels_random_blocks(rows, n):
+    rng = np.random.default_rng(n)
+    _assert_bijections_match_scalar(rng.integers(1, n + 1, size=(rows, n)))
+    # tree_to_mapping on trees and marks of its own, not only on mapping_to_tree's
+    parents = _random_trees(rng, rows, n)
+    marks = rng.integers(1, n + 1, size=rows)
+    images = kernels.tree_to_mapping(parents, marks)
+    for k in range(rows):
+        mt = MarkedTree(make_tree(parents[k].tolist()), int(marks[k]))
+        assert tuple(images[k].tolist()) == tree_to_mapping(mt).image
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_batched_decoder_matches_scalar_on_every_pair(n):
+    # every ordering of every set partition, with every link sequence: forbidden
+    # links and blocks out of order included
+    pairs, block_rows, link_rows = [], [], []
+    for m in range(1, n + 1):
+        for raw in _set_partitions(n, m):
+            for ordered in itertools.permutations(frozenset(b) for b in raw):
+                index = [0] * n
+                for b, block in enumerate(ordered):
+                    for x in block:
+                        index[x - 1] = b
+                for links in itertools.product(range(1, n + 1), repeat=m):
+                    pairs.append((OrderedSetPartition(ordered), links))
+                    block_rows.append(index)
+                    link_rows.append([*links, *[0] * (n - m)])
+    images, valid = kernels.decode_partition(np.array(block_rows), np.array(link_rows))
+    for k, (partition, links) in enumerate(pairs):
+        try:
+            expected = decode_partition(partition, links).image
+        except InvalidLinkSequenceError:
+            assert not valid[k]
+        else:
+            assert valid[k]
+            assert tuple(images[k].tolist()) == expected
+    assert valid.any() and (n == 1 or not valid.all())
+
+
+def test_verify_all_blocks_enumerate_in_product_order():
+    for n in (1, 2, 5):
+        blocks = list(cli._array_blocks(n))
+        assert all(b.size <= cli._VERIFY_CELLS for b in blocks)
+        assert np.concatenate(blocks).tolist() == [
+            list(row) for row in itertools.product(range(1, n + 1), repeat=n)]
+
+
+def test_verify_all_checks_memory_stays_small():
+    tracemalloc.start()
+    try:
+        verdicts = [cli._check_block(images) for images in cli._array_blocks(6)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [(True, True, True)] * len(verdicts)
+    # 0.6 MiB in 2^14-cell blocks; all 46,656 arrays in one block peak at 7.8 MiB
+    assert peak < 2 << 20
 
 
 class _SerialPool:
