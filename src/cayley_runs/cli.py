@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, bijections, core, exact, kernels, montecarlo, runs, series
-from .config import Config, load_config
+from .config import SERIES_BOUND, Config, load_config
 
 
 def _read(path: str) -> str:
@@ -149,14 +149,23 @@ def _cmd_table(args, cfg: Config) -> int:
         # no closed form for connected counts; extract them from the series
         if n < 1:
             raise ValueError("n must be positive")
-        table = series.series_count_table(series.connected_series(n), n)
+        table = series.series_count_table(series.connected_series(_series_order(n, cfg, "n")), n)
     for m in sorted(table.values):
         print(f"{n},{m},{table.values[m]}")
     return 0
 
 
+def _series_order(order: int | None, cfg: Config, name: str = "order") -> int:
+    """order, or the configured series_order when it is None; ValueError beyond SERIES_BOUND."""
+    if order is None:
+        order, name = cfg.series_order, "series_order"
+    if order > SERIES_BOUND:
+        raise ValueError(f"{name}={order} exceeds series bound {SERIES_BOUND}")
+    return order
+
+
 def _cmd_series(args, cfg: Config) -> int:
-    order = args.order if args.order is not None else cfg.series_order
+    order = _series_order(args.order, cfg)
     solver = {
         "H": series.auxiliary_series,
         "F": series.tree_series,
@@ -181,7 +190,7 @@ def _report(checks) -> int:
 
 
 def _cmd_verify_series(args, cfg: Config) -> int:
-    order = args.order if args.order is not None else cfg.series_order
+    order = _series_order(args.order, cfg)
     return _report([
         ("pde-residual-zero", series.pde_residual(series.tree_series(order)).is_zero()),
         ("mapping-equals-1-plus-z-dF", series.check_mapping_from_tree_derivative(order)),

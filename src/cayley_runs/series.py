@@ -7,12 +7,44 @@ run-marking variable v.  No floating point and no rational arithmetic
 enters this module; fractions appear only where ``coefficient`` returns
 [z^n v^m] itself, for output.
 
+Polynomials in v are multiplied by Kronecker substitution: a row p is
+packed as the integer p(2^w), so p q is one big-integer product, and the
+coefficients are read back off in base 2^w as balanced digits in
+[-2^(w-1), 2^(w-1)).  ``_pack`` and ``_unpack`` are that codec.  Packing
+v -> 2^w is a ring homomorphism Z[v] -> Z, so any sum of products packs
+to the packed sum of packed products; reading a packed row back is exact
+when every coefficient of that row is below 2^(w-1) in absolute value,
+which ``_width`` guarantees for a bound on them.
+
+Two width rules apply.
+
+* The solvers hold every row packed at one width per call,
+  w = _width(N^N), and unpack only the rows they return.  The
+  homomorphism also commutes with their exact divisions, which divide
+  coefficientwise: p = c q in Z[v] gives p(2^w) = c q(2^w).  So only the
+  returned rows must fit, and each has nonnegative coefficients summing
+  to at most n^n <= N^N: trees sum to n^(n-1), A at v = 1 is the tree
+  function, mappings sum to n^n and connected mappings to at most n^n.
+  The exponentials and the logs inside ``connected_series`` are never
+  unpacked, so their sizes do not matter.  Each solver is a sweep over
+  packed rows run by ``_solved``.
+* The checks' product and exponential pack each output row k at its own
+  width, from the operands' 1-norms: every coefficient of row k of AB
+  is at most sum_j C(k, j) |a_j|_1 |b_(k-j)|_1 in absolute value.  Row k
+  of e^S is a product sum over rows s_j and e_(k-j) already computed, so
+  the same bound holds with their norms.  Operand coefficients need not
+  fit, as packing is only evaluation, and results may be signed, hence
+  the balanced digits.  Widths are rounded up to whole 32-bit steps, so
+  that neighbouring rows share their operands' packs; one width for a
+  whole product would pad every low row to the size of the top one.
+
 The solvers never iterate to a fixed point.  They compute each
 coefficient once, in increasing n, from lower ones by binomial
 convolutions (online evaluation of the functional equation), and return
 their integer rows as a BivariateSeries.  The identity checks use the
 BivariateSeries arithmetic, whose EGF product and exponential are coded
-apart from the solvers' helpers: a second, independent implementation.
+apart from the solvers' helpers, with their own width rule: a second,
+independent implementation that shares only the codec.
 
 The four generating functions handled here, with counts recovered as
 n! [z^n v^m]:
@@ -33,24 +65,83 @@ from fractions import Fraction
 
 from .exact import CountTable
 
+_CHECK_STEP = 32  # bits; the checks round their widths up to whole steps
 
-def _vpoly_sum(terms) -> list[int]:
-    """Sum of c p q over the (c, p, q) in terms, for integer polynomials p, q in v.
 
-    Kept apart from the solvers' ``_binomial_conv`` so that the identity
-    checks share no arithmetic with the solvers they check.
+def _width(bound: int) -> int:
+    """Digit width w whose balanced digits hold every integer of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(row, w: int) -> int:
+    """row(2^w) for the integer polynomial in v with coefficients row."""
+    x = 0
+    for c in reversed(row):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(x: int, w: int) -> tuple[int, ...]:
+    """The coefficients of x in base 2^w as balanced digits, without trailing zeros."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    row = []
+    while x:
+        x += half
+        row.append((x & mask) - half)
+        x >>= w
+    return tuple(row)
+
+
+def _trimmed(row) -> tuple[int, ...]:
+    if row and not row[-1]:
+        end = len(row) - 1
+        while end and not row[end - 1]:
+            end -= 1
+        row = row[:end]
+    return tuple(row)
+
+
+class _Rows:
+    """The rows of one operand of a product, with their 1-norms, packed on demand.
+
+    Packs are kept for the last width asked for, which neighbouring output
+    rows often share.
     """
-    out: list[int] = []
-    for c, p, q in terms:
-        if not p or not q:
-            continue
-        out += [0] * (len(p) + len(q) - 1 - len(out))
-        for i, x in enumerate(p):
-            if x:
-                x *= c
-                for l, y in enumerate(q):
-                    out[i + l] += x * y
-    return out
+
+    __slots__ = ("rows", "norms", "_w", "_packed")
+
+    def __init__(self, rows) -> None:
+        self.rows = list(rows)
+        self.norms = [sum(map(abs, p)) for p in self.rows]
+        self._w, self._packed = 0, {}
+
+    def append(self, row) -> None:
+        self.rows.append(row)
+        self.norms.append(sum(map(abs, row)))
+
+    def packed(self, j: int, w: int) -> int:
+        if w != self._w:
+            self._w, self._packed = w, {}
+        x = self._packed.get(j)
+        if x is None:
+            x = self._packed[j] = _pack(self.rows[j], w)
+        return x
+
+
+def _vpoly_sum(terms, a: _Rows, b: _Rows) -> tuple[int, ...]:
+    """Sum of c a_j b_l over the (c, j, l) in terms, for rows a_j, b_l of integer polynomials in v.
+
+    Every coefficient of the sum is at most sum c |a_j|_1 |b_l|_1 in
+    absolute value, and the whole sum is one Kronecker product per term
+    at the width that bound needs, rounded up to a whole step so that
+    neighbouring rows reuse their packs.  Kept apart from the solvers'
+    ``_binomial_conv``, so that the identity checks share no arithmetic
+    with the solvers they check beyond the codec.
+    """
+    na, nb = a.norms, b.norms
+    terms = [(c, j, l) for c, j, l in terms if na[j] and nb[l]]
+    w = -(-_width(sum(c * na[j] * nb[l] for c, j, l in terms)) // _CHECK_STEP) * _CHECK_STEP
+    return _unpack(sum(c * a.packed(j, w) * b.packed(l, w) for c, j, l in terms), w)
 
 
 class BivariateSeries:
@@ -66,17 +157,23 @@ class BivariateSeries:
     def __init__(self, order: int, rows=()):
         if order < 0:
             raise ValueError("order must be non-negative")
-        egf = []
-        for row in list(rows)[: order + 1]:
-            row = list(row)
-            if any(type(x) is not int for x in row):  # bool is an int subclass
-                raise TypeError("EGF coefficients must be integers")
-            while row and row[-1] == 0:
-                row.pop()
-            egf.append(tuple(row))
+        rows = [list(row) for row in list(rows)[: order + 1]]
+        if any(type(x) is not int for row in rows for x in row):  # bool is an int subclass
+            raise TypeError("EGF coefficients must be integers")
+        self._set(order, rows)
+
+    def _set(self, order: int, rows) -> None:
+        egf = [_trimmed(row) for row in rows]
         egf += [()] * (order + 1 - len(egf))
         self.order = order
         self.egf: tuple[tuple[int, ...], ...] = tuple(egf)
+
+    @classmethod
+    def _of(cls, order: int, rows) -> "BivariateSeries":
+        """The series with at most order + 1 integer rows, trimmed but not re-validated."""
+        s = cls.__new__(cls)
+        s._set(order, rows)
+        return s
 
     @classmethod
     def one(cls, order: int) -> "BivariateSeries":
@@ -126,12 +223,12 @@ class BivariateSeries:
             if len(p) < len(q):
                 p, q = q, p
             rows.append([x + q[i] if i < len(q) else x for i, x in enumerate(p)])
-        return BivariateSeries(min(self.order, other.order), rows)
+        return BivariateSeries._of(min(self.order, other.order), rows)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries(self.order, [[-x for x in p] for p in self.egf])
+        return BivariateSeries._of(self.order, [[-x for x in p] for p in self.egf])
 
     def __sub__(self, other) -> "BivariateSeries":
         return self + (-self._lift(other))
@@ -143,9 +240,9 @@ class BivariateSeries:
         """EGF product: k! [z^k] of AB is sum_j C(k, j) a_j b_{k-j}."""
         other = self._lift(other)
         order = min(self.order, other.order)
-        a, b = self.egf, other.egf
-        return BivariateSeries(order, [
-            _vpoly_sum((math.comb(k, j), a[j], b[k - j]) for j in range(k + 1))
+        a, b = _Rows(self.egf), _Rows(other.egf)
+        return BivariateSeries._of(order, [
+            _vpoly_sum([(math.comb(k, j), j, k - j) for j in range(k + 1)], a, b)
             for k in range(order + 1)])
 
     __rmul__ = __mul__
@@ -158,84 +255,107 @@ class BivariateSeries:
         s = self.egf
         if s[0]:
             raise ValueError("exp needs zero constant term")
-        e = [(1,)]
+        s, e = _Rows(s), _Rows([(1,)])
         for k in range(1, self.order + 1):
-            e.append(_vpoly_sum((math.comb(k - 1, j - 1), s[j], e[k - j])
-                                for j in range(1, k + 1)))
-        return BivariateSeries(self.order, e)
+            e.append(_vpoly_sum([(math.comb(k - 1, j - 1), j, k - j) for j in range(1, k + 1)], s, e))
+        return BivariateSeries._of(self.order, e.rows)
 
     def diff_z(self) -> "BivariateSeries":
         """d/dz, one order lower: n! [z^n] S' = (n+1)! [z^(n+1)] S, a shift of the rows."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 truncation")
-        return BivariateSeries(self.order - 1, self.egf[1:])
+        return BivariateSeries._of(self.order - 1, self.egf[1:])
 
     def diff_v(self) -> "BivariateSeries":
-        return BivariateSeries(self.order, [[m * x for m, x in enumerate(p)][1:]
-                                            for p in self.egf])
+        return BivariateSeries._of(self.order, [[m * x for m, x in enumerate(p)][1:]
+                                                for p in self.egf])
 
     def truncate(self, order: int) -> "BivariateSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return BivariateSeries(order, self.egf[: order + 1])
+        return BivariateSeries._of(order, self.egf[: order + 1])
 
 
-def _add(p: list[int], q: list[int], c: int = 1) -> list[int]:
-    """p + c q for integer polynomials in v."""
-    if len(p) < len(q):
-        p = p + [0] * (len(q) - len(p))
-    return [x + c * q[i] if i < len(q) else x for i, x in enumerate(p)]
+def _solver_width(order: int) -> int:
+    """The one packing width of a solver call truncated at z^order (module docstring)."""
+    return _width(order ** order)
 
 
-def _binomial_conv(k: int, a: list, b: list, js: range) -> list[int]:
-    """Sum over j in js of C(k, j) a[j] b[k - j]: k! [z^k] of a product of EGFs."""
-    out: list[int] = []
-    for j in js:
-        p, q = a[j], b[k - j]
-        if not p or not q:
-            continue
-        c = math.comb(k, j)
-        if len(out) < len(p) + len(q) - 1:
-            out += [0] * (len(p) + len(q) - 1 - len(out))
-        for i, x in enumerate(p):
-            if x:
-                x *= c
-                for l, y in enumerate(q):
-                    out[i + l] += x * y
-    return out
+def _solved(order: int, sweep, rows=()) -> BivariateSeries:
+    """The series whose rows, packed at v, ``sweep(v, packed)`` returns from ``rows`` packed at v.
+
+    The sweep runs once, at v = 2^w with w = _solver_width(order).
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    w = _solver_width(order)
+    return BivariateSeries._of(order, [_unpack(x, w) for x in
+                                       sweep(1 << w, [_pack(p, w) for p in rows])])
 
 
-def _exp_next(a: list, e: list) -> list[int]:
+def _binomial_conv(k: int, a: list[int], b: list[int], js: range) -> int:
+    """Sum over j in js of C(k, j) a[j] b[k - j] for packed rows: k! [z^k] of a product of EGFs."""
+    return sum(math.comb(k, j) * a[j] * b[k - j] for j in js)
+
+
+def _exp_next(a: list[int], e: list[int]) -> int:
     """e_k for k = len(e), from E' = S' E: sum_{j=1..k} C(k-1, j-1) a_j e_{k-j}."""
     k = len(e)
     return _binomial_conv(k - 1, a[1:], e, range(k))
 
 
-def _log(p: list, order: int) -> list:
-    """ln P for P with constant term 1, from P' = L' P.
+def _log(p: list[int], order: int) -> list[int]:
+    """ln P for packed rows p of a P with constant term 1, from P' = L' P.
 
     l_k = p_k - sum_{j=1..k-1} C(k-1, j-1) l_j p_{k-j}.
     """
-    out: list = [[]]
+    out = [0]
     for k in range(1, order + 1):
-        out.append(_add(p[k], _binomial_conv(k - 1, out[1:], p, range(k - 1)), -1))
+        out.append(p[k] - _binomial_conv(k - 1, out[1:], p, range(k - 1)))
     return out
+
+
+def _square(e: list[int], m: int) -> int:
+    """m! [z^m] E^2 for packed rows e of an EGF E: sum_{i<=m} C(m, i) e_i e_{m-i}.
+
+    The terms i and m-i are equal, so each pair of them is one product.
+    """
+    s = 2 * sum(math.comb(m, i) * e[i] * e[m - i] for i in range((m + 1) // 2))
+    if m % 2 == 0:
+        s += math.comb(m, m // 2) * e[m // 2] ** 2
+    return s
+
+
+def _aux_exp_next(e: list[int], v: int) -> int:
+    """e_k for k = len(e) of e^A, A the auxiliary series, packed at v.
+
+    e_k = (1 - v) e_{k-1} + v (k+1)/2 S with S = (k-1)! [z^(k-1)] (e^A)^2,
+    where (k+1) S is even: S is a sum of pairs of equal terms when k is even.
+    """
+    m = len(e) - 1
+    return e[m] + v * ((m + 2) * _square(e, m) // 2 - e[m])
 
 
 def auxiliary_series(order: int) -> BivariateSeries:
     """Unique zero-at-origin solution of A = z (v e^A + 1 - v).
 
     With a_n = n! [z^n] A and e_n = n! [z^n] e^A, the equation reads
-    a_1 = 1 and a_n = n v e_{n-1} for n >= 2, while
-    e_k = sum_{j=1..k} C(k-1, j-1) a_j e_{k-j} needs only a_1..a_k.
-    One sweep in n alternates the two.
+    a_1 = 1 and a_n = n v e_{n-1} for n >= 2, while E' = A' E gives
+    e_k = sum_{j=1..k} C(k-1, j-1) a_j e_{k-j}.  Put in a_j, writing the
+    j = 1 term e_{k-1} as (1 - v) e_{k-1} + v e_{k-1}: the sum becomes
+    (1 - v) e_{k-1} + v sum_{i<k} C(k-1, i) (i+1) e_i e_{k-1-i}, whose
+    terms i and k-1-i have weights adding up to (k+1) C(k-1, i), so
+    e_k = (1 - v) e_{k-1} + v (k+1)/2 sum_{i<k} C(k-1, i) e_i e_{k-1-i}.
+    One sweep in n alternates a_n and e_{n-1}.
     """
-    a: list = [[], [1]][: order + 1]
-    e: list = [[1]]
-    for n in range(2, order + 1):
-        e.append(_exp_next(a, e))
-        a.append([0] + [n * x for x in e[n - 1]])
-    return BivariateSeries(order, a)
+    def sweep(v, _):
+        a = [0, 1][: order + 1]
+        e = [1]
+        for n in range(2, order + 1):
+            e.append(_aux_exp_next(e, v))
+            a.append(n * v * e[n - 1])
+        return a
+    return _solved(order, sweep)
 
 
 def tree_series(order: int) -> BivariateSeries:
@@ -243,21 +363,23 @@ def tree_series(order: int) -> BivariateSeries:
 
     Solved through its z derivative, which is rational in the series
     itself: dF/dz = g / (1 - z g) with g = e^F - 1 + v, i.e.
-    F_z = g + z g F_z.  With f_n = n! [z^n] F and g_k = k! [z^k] g
-    (g_0 = v, g_k = k! [z^k] e^F for k >= 1), this is
-    f_{k+1} = g_k + k sum_{j<k} C(k-1, j) g_j f_{k-j},
-    and g_k needs only f_1..f_k, so one sweep in k settles F.
+    F_z = g + z g F_z.  Here z g F_z = z (e^F)_z - (1 - v) z F_z, and
+    k! [z^k] z H' = k h_k, so with f_n = n! [z^n] F and e_k = k! [z^k] e^F
+    (which is g_k for k >= 1) this is
+    f_{k+1} = (k+1) e_k - k (1 - v) f_k,
+    while e_k = sum_{j=1..k} C(k-1, j-1) f_j e_{k-j} needs only f_1..f_k:
+    one sweep in k with one convolution per step settles F.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    f: list = [[], [0, 1]]
-    ef: list = [[1]]
-    g: list = [[0, 1]]
-    for k in range(1, order):
-        ef.append(_exp_next(f, ef))
-        g.append(ef[k])
-        f.append(_add(g[k], _binomial_conv(k - 1, g, f[1:], range(k)), k))
-    return BivariateSeries(order, f)
+    def sweep(v, _):
+        f = [0, v]
+        e = [1]
+        for k in range(1, order):
+            e.append(_exp_next(f, e))
+            f.append((k + 1) * e[k] - k * (1 - v) * f[k])
+        return f
+    return _solved(order, sweep)
 
 
 def mapping_series(order: int) -> BivariateSeries:
@@ -266,28 +388,33 @@ def mapping_series(order: int) -> BivariateSeries:
     By A's equation T = z v e^A = A - (1 - v) z, so t_j = j! [z^j] T is v for j = 1
     and a_j for j >= 2.  R = 1 + T R gives r_n = sum_{j=1..n} C(n, j) t_j r_{n-j}.
     """
-    t = [[], [0, 1], *auxiliary_series(order).egf[2:]]
-    r: list = [[1]]
-    for n in range(1, order + 1):
-        r.append(_binomial_conv(n, t, r, range(1, n + 1)))
-    return BivariateSeries(order, r)
+    def sweep(v, a):
+        t = [0, v, *a]
+        r = [1]
+        for n in range(1, order + 1):
+            r.append(_binomial_conv(n, t, r, range(1, n + 1)))
+        return r
+    return _solved(order, sweep, auxiliary_series(order).egf[2:])
 
 
 def connected_series(order: int) -> BivariateSeries:
     """Run-marked connected-mapping series.
 
-    ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) = ln(A/z) - ln(A/z - (v e^A) A)
-    by A's equation.  Row k of A/z is a_{k+1} / (k+1), and so is row k >= 1 of
-    v e^A (row 0 is v): exact, as the A sweep sets a_{k+1} = (k+1) v e_k.  Both
-    logs have constant term 1 and follow from P' = L' P over the EGF integers.
+    ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) = ln(A/z) - ln(A/z - V A)
+    with V = v e^A, by A's equation.  Row k of A/z is a_{k+1} / (k+1), and so
+    is row k >= 1 of V (row 0 is v): exact, as the A sweep sets
+    a_{k+1} = (k+1) v e_k.  Then A = z (V + 1 - v), so V A = z V^2 + (1 - v) z V,
+    whose row k is k (V^2)_{k-1} + k (1 - v) V_{k-1}: a square, one product per
+    symmetric pair of terms.  Both logs have constant term 1 and follow from
+    P' = L' P over the EGF integers.
     """
-    a = auxiliary_series(order + 1).egf
-    numer = [[x // (k + 1) for x in a[k + 1]] for k in range(order + 1)]
-    ve = [[0, 1]] + numer[1:]
-    denom = [_add(numer[k], _binomial_conv(k, a, ve, range(1, k + 1)), -1)
-             for k in range(order + 1)]
-    c = [_add(p, q, -1) for p, q in zip(_log(numer, order), _log(denom, order))]
-    return BivariateSeries(order, c)
+    def sweep(v, a):
+        numer = [a[k + 1] // (k + 1) for k in range(order + 1)]
+        ve = [v] + numer[1:]
+        denom = numer[:1] + [numer[k] - k * (_square(ve, k - 1) + (1 - v) * ve[k - 1])
+                             for k in range(1, order + 1)]
+        return [p - q for p, q in zip(_log(numer, order), _log(denom, order))]
+    return _solved(order, sweep, auxiliary_series(order + 1).egf)
 
 
 def pde_residual(f: BivariateSeries) -> BivariateSeries:
@@ -309,7 +436,7 @@ def check_mapping_from_tree_derivative(order: int) -> bool:
     """Mapping series = 1 + z dF/dz: n! [z^n] z F' = n f_n, so each mapping count is n times the tree count."""
     f = tree_series(order)
     r = mapping_series(order)
-    z_fz = BivariateSeries(order, [[k * x for x in p] for k, p in enumerate(f.egf)])
+    z_fz = BivariateSeries._of(order, [[k * x for x in p] for k, p in enumerate(f.egf)])
     return (r - 1 - z_fz).is_zero()
 
 

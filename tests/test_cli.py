@@ -138,6 +138,40 @@ def test_verify_series_order_24(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+_BOUND = cayley_runs.config.SERIES_BOUND
+_OVER = str(_BOUND + 1)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["series", "--which", "C", "--order", _OVER], "order"),
+    (["verify-series", "--order", _OVER], "order"),
+    (["table", "--kind", "connected", "--n", _OVER], "n"),
+], ids=["series", "verify-series", "table-connected"])
+def test_series_order_beyond_the_bound_is_a_usage_error(capsys, monkeypatch, argv, name):
+    def unusable(order):
+        raise AssertionError("a solver ran past the series bound")
+
+    for solver in ("tree_series", "auxiliary_series", "mapping_series", "connected_series"):
+        monkeypatch.setattr(cayley_runs.series, solver, unusable)
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {name}={_OVER} exceeds series bound {_BOUND}\n")
+
+
+@pytest.mark.parametrize("which", "HRC")
+def test_negative_series_order_is_a_usage_error(capsys, which):
+    assert run_cli(["series", "--which", which, "--order", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: order must be non-negative\n")
+
+
+def test_configured_series_order_beyond_the_bound_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"series_order": _BOUND + 1}))
+    assert run_cli(["--config", str(cfg), "verify-series"]) == 2
+    assert capsys.readouterr() == ("", f"error: series_order={_OVER} exceeds series bound {_BOUND}\n")
+    # an explicit --order wins over the configured one
+    assert run_cli(["--config", str(cfg), "series", "--which", "F", "--order", "3"]) == 0
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_runs import (
     BivariateSeries,
@@ -88,8 +90,9 @@ def test_auxiliary_series_hand_coefficients():
 
 def test_auxiliary_series_matches_lagrange_inversion():
     # A = z phi(A) with phi(u) = v e^u + 1 - v, so n [z^n] A = [u^(n-1)] phi(u)^n and
-    # n! [z^n] A = sum_k C(n, k) k^(n-1) v^k (1 - v)^(n-k), expanded here in integers only.
-    order = 30
+    # n! [z^n] A = sum_k C(n, k) k^(n-1) v^k (1 - v)^(n-k), expanded here in integers only;
+    # the top rows come within a few bits of the packing width
+    order = 60
     h = auxiliary_series(order)
     for n in range(1, order + 1):
         expected = [0] * (n + 1)
@@ -166,8 +169,9 @@ def test_connected_series_counts_match_brute_force():
 def test_naive_connected_guess_is_falsified():
     # ln(1/(1 - F)) does not count connected mappings by runs
     order = 4
-    one_minus_f = [[1]] + [[-x for x in p] for p in tree_series(order).egf[1:]]
-    naive = BivariateSeries(order, [[-x for x in p] for p in series._log(one_minus_f, order)])
+    w = series._solver_width(order)  # ln(1/(1 - F)) = sum F^k / k: n! [z^n] sums to <= n^n at v = 1
+    one_minus_f = [1] + [-series._pack(p, w) for p in tree_series(order).egf[1:]]
+    naive = BivariateSeries(order, [series._unpack(-x, w) for x in series._log(one_minus_f, order)])
     conn = brute_force_tables(2)[2]
     naive_n2 = {m: naive.count(2, m) for m in (1, 2)}
     assert naive_n2 == {1: 1, 2: 2}
@@ -182,17 +186,8 @@ def test_connected_series_at_one_counts_connected_mappings():
 
 
 def _plain_conv(k, a, b, js):
-    """The solvers' convolution without its binomial weights C(k, j)."""
-    out = []
-    for j in js:
-        p, q = a[j], b[k - j]
-        if not p or not q:
-            continue
-        out += [0] * (len(p) + len(q) - 1 - len(out))
-        for i, x in enumerate(p):
-            for l, y in enumerate(q):
-                out[i + l] += x * y
-    return out
+    """The solvers' packed convolution without its binomial weights C(k, j)."""
+    return sum(a[j] * b[k - j] for j in js)
 
 
 def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
@@ -208,14 +203,14 @@ def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
     def unusable(*args):
         raise AssertionError("the series arithmetic called a solver helper")
 
-    for name in ("_binomial_conv", "_exp_next", "_log"):
+    for name in ("_binomial_conv", "_exp_next", "_aux_exp_next", "_square", "_log"):
         monkeypatch.setattr(series, name, unusable)
     assert pde_residual(f).is_zero()
 
 
 def _exp_of(a, order):
-    """e^S up to z^order from the EGF integers a of S, one _exp_next step per order."""
-    e = [[1]]
+    """Packed rows of e^S up to z^order from the packed rows a of S, one _exp_next step per order."""
+    e = [1]
     while len(e) <= order:
         e.append(series._exp_next(a, e))
     return e
@@ -223,23 +218,25 @@ def _exp_of(a, order):
 
 def _reference_mapping_series(order):
     """1 / (1 - z v e^A) with e^A recomputed from A's rows."""
-    e = _exp_of(auxiliary_series(order).egf, order - 1)
-    t = [[]] + [[0] + [j * x for x in e[j - 1]] for j in range(1, order + 1)]
-    r = [[1]]
+    w = series._solver_width(order)
+    e = _exp_of([series._pack(p, w) for p in auxiliary_series(order).egf], order - 1)
+    t = [0] + [j * e[j - 1] << w for j in range(1, order + 1)]
+    r = [1]
     for n in range(1, order + 1):
         r.append(series._binomial_conv(n, t, r, range(1, n + 1)))
-    return BivariateSeries(order, r)
+    return BivariateSeries(order, [series._unpack(x, w) for x in r])
 
 
 def _reference_connected_series(order):
     """ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) with e^A recomputed from A's rows."""
-    a = auxiliary_series(order).egf
+    w = series._solver_width(order)
+    a = [series._pack(p, w) for p in auxiliary_series(order).egf]
     e = _exp_of(a, order)
-    numer = [[1]] + [[0] + e[k] for k in range(1, order + 1)]
+    numer = [1] + [e[k] << w for k in range(1, order + 1)]
     a_e = [series._binomial_conv(k, a, e, range(1, k + 1)) for k in range(order + 1)]
-    denom = [[1]] + [[0] + series._add(e[k], a_e[k], -1) for k in range(1, order + 1)]
-    return BivariateSeries(order, [series._add(p, q, -1) for p, q in
-                                   zip(series._log(numer, order), series._log(denom, order))])
+    denom = [1] + [e[k] - a_e[k] << w for k in range(1, order + 1)]
+    logs = series._log(numer, order), series._log(denom, order)
+    return BivariateSeries(order, [series._unpack(p - q, w) for p, q in zip(*logs)])
 
 
 def test_solvers_match_the_exponential_reference():
@@ -250,13 +247,16 @@ def test_solvers_match_the_exponential_reference():
 
 
 def test_exponential_steps_run_only_in_the_auxiliary_sweep(monkeypatch):
-    exp_next, aux = series._exp_next, series.auxiliary_series
+    aux_exp_next, aux = series._aux_exp_next, series.auxiliary_series
     depth = [0]
     calls = {"inside": 0, "outside": 0}
 
-    def counted_exp_next(a, e):
+    def counted_exp_next(e, v):
         calls["inside" if depth[0] else "outside"] += 1
-        return exp_next(a, e)
+        return aux_exp_next(e, v)
+
+    def unusable(*args):
+        raise AssertionError("a solver took a general exponential step")
 
     def traced_aux(order):
         depth[0] += 1
@@ -265,7 +265,8 @@ def test_exponential_steps_run_only_in_the_auxiliary_sweep(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(series, "_exp_next", counted_exp_next)
+    monkeypatch.setattr(series, "_aux_exp_next", counted_exp_next)
+    monkeypatch.setattr(series, "_exp_next", unusable)
     monkeypatch.setattr(series, "auxiliary_series", traced_aux)
     for order in (1, 2, 14, 30):
         for solver, steps in ((mapping_series, order - 1), (connected_series, order)):
@@ -303,9 +304,91 @@ def test_exp_connected_check_catches_a_wrong_denominator():
                                     for k in range(order + 1)])
     v_ea = numer - 1 + BivariateSeries.v(order)
     r = mapping_series(order)
+    w = 4 * series._solver_width(order)  # wide enough for the mutant's signed coefficients
     for sign, is_connected in ((-1, True), (1, False)):
         denom = numer + sign * v_ea * a.truncate(order)
-        logs = [series._log([list(p) for p in s.egf], order) for s in (numer, denom)]
-        c = BivariateSeries(order, [series._add(p, q, -1) for p, q in zip(*logs)])
+        logs = [series._log([series._pack(p, w) for p in s.egf], order) for s in (numer, denom)]
+        c = BivariateSeries(order, [series._unpack(p - q, w) for p, q in zip(*logs)])
         assert (c == connected_series(order)) is is_connected
         assert (c.exp() - r).is_zero() is is_connected
+
+
+@st.composite
+def _rows_and_width(draw):
+    w = draw(st.integers(2, 200))
+    top = (1 << (w - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
+    return draw(st.lists(coeff, max_size=12)), w
+
+
+@given(_rows_and_width())
+def test_codec_round_trips_signed_rows(row_w):
+    # balanced digits hold every coefficient of absolute value below 2^(w-1)
+    row, w = row_w
+    assert series._unpack(series._pack(row, w), w) == series._trimmed(row)
+    assert series._pack([], w) == 0 and series._unpack(0, w) == ()
+
+
+def _naive_vpoly_sum(terms):
+    """Sum of c p q over the (c, p, q) in terms, coefficient by coefficient."""
+    out = []
+    for c, p, q in terms:
+        if not p or not q:
+            continue
+        out += [0] * (len(p) + len(q) - 1 - len(out))
+        for i, x in enumerate(p):
+            for l, y in enumerate(q):
+                out[i + l] += c * x * y
+    return out
+
+
+def _naive_mul(a, b):
+    order = min(a.order, b.order)
+    return BivariateSeries(order, [
+        _naive_vpoly_sum((math.comb(k, j), a.egf[j], b.egf[k - j]) for j in range(k + 1))
+        for k in range(order + 1)])
+
+
+def _naive_exp(s):
+    e = [(1,)]
+    for k in range(1, s.order + 1):
+        e.append(_naive_vpoly_sum((math.comb(k - 1, j - 1), s.egf[j], e[k - j])
+                                  for j in range(1, k + 1)))
+    return BivariateSeries(s.order, e)
+
+
+_signed_rows = st.lists(st.lists(st.integers(-10 ** 40, 10 ** 40), max_size=6), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signed_rows, _signed_rows)
+def test_product_and_exp_match_the_naive_loops(rows_a, rows_b):
+    order = max(len(rows_a), len(rows_b), 1) - 1
+    a, b = BivariateSeries(order, rows_a), BivariateSeries(order, rows_b)
+    assert a * b == _naive_mul(a, b)
+    s = BivariateSeries(order, [()] + rows_a[1:])
+    assert s.exp() == _naive_exp(s)
+
+
+def test_solvers_at_orders_near_the_width_match_closed_forms():
+    # the top mapping row of each order comes within 3 bits of the proved packing width
+    orders = range(31, 61)
+    for order in orders:
+        top = mapping_series(order).egf[order]
+        assert top == (0, *(mapping_runs(order, m) for m in range(1, order + 1)))
+        assert series._solver_width(order) - 1 - max(top).bit_length() <= 3
+    f, c = tree_series(60), connected_series(60)  # A's rows: the Lagrange test above
+    for n in orders:
+        assert f.egf[n] == (0, *(tree_runs(n, m) for m in range(1, n + 1)))
+        assert sum(c.egf[n]) == sum(math.factorial(n - 1) // math.factorial(k) * n ** k
+                                    for k in range(n))
+
+
+def test_a_narrower_width_is_seen(monkeypatch):
+    # packing 8 bits narrower than the proved width garbles the order-40 top rows
+    order = 40
+    exact = mapping_series(order), connected_series(order)
+    width = series._solver_width
+    monkeypatch.setattr(series, "_solver_width", lambda n: width(n) - 8)
+    assert mapping_series(order) != exact[0]
+    assert connected_series(order) != exact[1]
