@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, bijections, core, exact, kernels, montecarlo, runs, series
-from .config import SERIES_BOUND, Config, load_config
+from .config import MC_CELLS_BOUND, MC_N_BOUND, SERIES_BOUND, Config, load_config
 
 
 def _read(path: str) -> str:
@@ -23,12 +23,13 @@ def _read(path: str) -> str:
 
 
 class AtLeastOne(argparse.Action):
-    """A count flag such as --workers: a value below 1 is a usage error."""
+    """A count flag such as --workers, or a list of them: a value below 1 is a usage error."""
 
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise argparse.ArgumentError(self, f"must be at least 1, not {value}")
-        setattr(namespace, self.dest, value)
+    def __call__(self, parser, namespace, values, option_string=None):
+        for value in values if isinstance(values, list) else [values]:
+            if value < 1:
+                raise argparse.ArgumentError(self, f"must be at least 1, not {value}")
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,6 +216,12 @@ def _cmd_asymptotics(args, _cfg: Config) -> int:
 
 
 def _cmd_mc(args, cfg: Config) -> int:
+    # checked before anything is drawn or laid out
+    if args.n > MC_N_BOUND:
+        raise ValueError(f"n={args.n} exceeds mc bound {MC_N_BOUND}")
+    if args.n * args.samples > MC_CELLS_BOUND:
+        raise ValueError(f"n x samples={args.n * args.samples} exceeds mc cell bound "
+                         f"{MC_CELLS_BOUND}")
     seed = args.seed if args.seed is not None else cfg.rng_seed
     stats = montecarlo.run_statistics(
         args.n, args.samples, seed, workers=args.workers, use_trees=args.trees)

@@ -10,11 +10,19 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .exact import DEFAULT_EXHAUSTIVE_BOUND
+from .montecarlo import _CHUNK_CELLS
 
 # the largest order the series commands accept: verify-series at order 100
 # takes about 20 s as a process on a 2-core x86-64 machine, and about 55 s
 # at order 120
 SERIES_BOUND = 100
+# the largest n mc accepts, so that one chunk of rows holds at most 2^21 int64
+# draws (16 MiB)
+MC_N_BOUND = _CHUNK_CELLS
+# the most cells, n x samples, mc accepts: on one worker of the same machine
+# mappings take about 12 ns a cell, so 10^10 cells take about 2 minutes, and
+# trees (--trees) about 740 ns a cell
+MC_CELLS_BOUND = 10 ** 10
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,25 @@ def test_configured_series_order_beyond_the_bound_is_a_usage_error(capsys, tmp_p
     assert run_cli(["--config", str(cfg), "series", "--which", "F", "--order", "3"]) == 0
 
 
+_MC_N = cayley_runs.config.MC_N_BOUND
+_MC_CELLS = cayley_runs.config.MC_CELLS_BOUND
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mc", "--n", str(_MC_N + 1), "--samples", "1"],
+     f"n={_MC_N + 1} exceeds mc bound {_MC_N}"),
+    (["mc", "--n", "1000", "--samples", str(_MC_CELLS // 1000 + 1), "--trees"],
+     f"n x samples={_MC_CELLS + 1000} exceeds mc cell bound {_MC_CELLS}"),
+], ids=["n", "cells"])
+def test_mc_beyond_its_bounds_is_a_usage_error(capsys, monkeypatch, argv, message):
+    def unusable(*args, **kwargs):
+        raise AssertionError("mc drew samples past its bound")
+
+    monkeypatch.setattr(cayley_runs.montecarlo, "run_statistics", unusable)
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 
@@ -271,20 +290,33 @@ def test_workers_below_one_is_a_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("flag, value", [("--n-max", "0"), ("--n-max", "-3"), ("--workers", "0")])
-def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
-    # it used to compare no table at all and still print that all of them match
+def _assert_script_rejects(script, argv, flag, value):
+    """scripts/<script> with argv exits 2 with argparse's message that flag's value is below 1."""
     root = Path(__file__).resolve().parents[1]
     src = str(Path(cayley_runs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, str(root / "scripts" / "exhaustive_tables.py"),
-                          flag, value], env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, str(root / "scripts" / script), *argv],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stdout == ""
     assert f"argument {flag}: must be at least 1, not {value}" in out.stderr
     assert out.stderr.startswith("usage: ")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--n-max", "0"), ("--n-max", "-3"), ("--workers", "0")])
+def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
+    # it used to compare no table at all and still print that all of them match
+    _assert_script_rejects("exhaustive_tables.py", [flag, value], flag, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workers", "0"], ["--samples", "0"], ["--sizes", "0"], ["--sizes", "10", "-3"],
+])
+def test_limit_law_sweep_rejects_counts_below_one(argv):
+    # --workers 0 ran on one worker, and --samples 0 ended in a traceback
+    _assert_script_rejects("limit_law_sweep.py", argv, argv[0], argv[-1])
 
 
 def test_verify_all_is_bounded(capsys):

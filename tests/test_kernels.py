@@ -20,7 +20,7 @@ from cayley_runs import (InvalidLinkSequenceError, MarkedTree, OrderedSetPartiti
                          brute_force_tables, components, decode_partition, encode_partition,
                          make_mapping, make_tree, mapping_to_tree, run_starts_mapping,
                          run_starts_tree, run_statistics, tree_to_mapping)
-from cayley_runs import cli, kernels
+from cayley_runs import cli, exact, kernels
 from cayley_runs.bijections import _set_partitions
 from cayley_runs.kernels import cycles, run_counts
 
@@ -219,6 +219,7 @@ def test_pool_is_capped_at_the_job_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the CPU cap must not bind here
+    monkeypatch.setattr(exact, "_JOB_ARRAYS", 1)  # one job per prefix block
     # 2,100 samples at n = 1000 make two chunks of at most 2^21 cells
     assert run_statistics(1000, 2100, seed=5, workers=3) == run_statistics(1000, 2100, seed=5)
     # n = 2 scans two one-entry prefix blocks
@@ -232,6 +233,7 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
     monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(exact, "_JOB_ARRAYS", 1)  # one job per prefix block
     # 10,000 samples at n = 1000 make five chunks; n = 4 scans four prefix blocks
     assert (run_statistics(1000, 10_000, 5, workers=1000)
             == run_statistics(1000, 10_000, 5))
@@ -245,19 +247,46 @@ def test_oracle_deals_one_job_per_process(monkeypatch):
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(_SerialPool, "jobs", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(exact, "_JOB_ARRAYS", 1)  # one job per prefix block
     # n = 4 has four prefix blocks; two processes start, so two jobs share them
     assert brute_force_tables(4, workers=1000) == brute_force_tables(4)
     assert _SerialPool.sizes == [2]
     assert _SerialPool.jobs == [2]
 
 
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(processes):
+    raise _PoolStarted(processes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_scans_up_to_n8_in_process(monkeypatch, n):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the CPU cap must not bind here
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    assert brute_force_tables(n, workers=2, max_size=8) == brute_force_tables(n, max_size=8)
+
+
+@pytest.mark.parametrize("workers, processes", [(2, 2), (1000, 12)])
+def test_oracle_pools_twelve_jobs_at_n9(monkeypatch, workers, processes):
+    # 9^9 arrays make ceil(9^9 / 2^25) = 12 jobs; the pool is refused before any scan
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    with pytest.raises(_PoolStarted) as started:
+        brute_force_tables(9, workers=workers, max_size=9)
+    assert started.value.args == (processes,)
+
+
 def test_pools_work_under_spawn():
     script = textwrap.dedent("""
         import multiprocessing
-        from cayley_runs import brute_force_tables, run_statistics
+        from cayley_runs import brute_force_tables, exact, run_statistics
 
         if __name__ == "__main__":
             multiprocessing.set_start_method("spawn")
+            exact._JOB_ARRAYS = 1  # so that n = 5 still pools
             assert brute_force_tables(5, workers=2) == brute_force_tables(5)
             assert (run_statistics(1000, 5000, seed=9, workers=2)
                     == run_statistics(1000, 5000, seed=9))
