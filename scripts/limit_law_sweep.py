@@ -12,7 +12,7 @@ import math
 
 from cayley_runs import clt_constants, normality_check, run_statistics
 from cayley_runs.asymptotics import MEAN_SLOPE, VARIANCE_SLOPE
-from cayley_runs.cli import AtLeastOne
+from cayley_runs.cli import AtLeastOne, AtLeastZero
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
     ap.add_argument("--sizes", type=int, nargs="+", action=AtLeastOne,
                     default=[10, 30, 100, 300, 1000, 3000])
     ap.add_argument("--samples", type=int, default=100_000, action=AtLeastOne)
-    ap.add_argument("--seed", type=int, default=1729)
+    ap.add_argument("--seed", type=int, default=1729, action=AtLeastZero)
     ap.add_argument("--workers", type=int, default=2, action=AtLeastOne)
     args = ap.parse_args()
 

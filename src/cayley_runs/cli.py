@@ -23,13 +23,19 @@ def _read(path: str) -> str:
 
 
 class AtLeastOne(argparse.Action):
-    """A count flag such as --workers, or a list of them: a value below 1 is a usage error."""
+    """A count flag such as --workers, or a list of them: a value below ``least`` is a usage error."""
+
+    least = 1
 
     def __call__(self, parser, namespace, values, option_string=None):
         for value in values if isinstance(values, list) else [values]:
-            if value < 1:
-                raise argparse.ArgumentError(self, f"must be at least 1, not {value}")
+            if value < self.least:
+                raise argparse.ArgumentError(self, f"must be at least {self.least}, not {value}")
         setattr(namespace, self.dest, values)
+
+
+class AtLeastZero(AtLeastOne):
+    least = 0  # a seed flag: a negative value is a usage error
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("mc", help="Monte Carlo run statistics as JSON")
     q.add_argument("--n", required=True, type=int)
     q.add_argument("--samples", required=True, type=int)
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=int, default=None, action=AtLeastZero)
     q.add_argument("--trees", action="store_true", help="sample trees instead of mappings")
     q.add_argument("--workers", type=int, default=1, action=AtLeastOne)
 

@@ -13,8 +13,8 @@ from .exact import DEFAULT_EXHAUSTIVE_BOUND
 from .montecarlo import _CHUNK_CELLS
 
 # the largest order the series commands accept: verify-series at order 100
-# takes about 20 s as a process on a 2-core x86-64 machine, and about 55 s
-# at order 120
+# takes about 15-21 s as a process on a 2-core x86-64 machine, and about
+# 50 s at order 120
 SERIES_BOUND = 100
 # the largest n mc accepts, so that one chunk of rows holds at most 2^21 int64
 # draws (16 MiB)
@@ -54,6 +54,8 @@ class Config:
                 raise ValueError(f"{name}={x!r} is not an integer")
         if self.exhaustive_bound < 1 or self.series_order < 1:
             raise ValueError("bounds must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed={self.rng_seed} must be non-negative")
 
 
 def load_config(path: str | None) -> Config:

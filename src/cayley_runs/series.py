@@ -25,9 +25,9 @@ Two width rules apply.
   returned rows must fit, and each has nonnegative coefficients summing
   to at most n^n <= N^N: trees sum to n^(n-1), A at v = 1 is the tree
   function, mappings sum to n^n and connected mappings to at most n^n.
-  The exponentials and the logs inside ``connected_series`` are never
-  unpacked, so their sizes do not matter.  Each solver is a sweep over
-  packed rows run by ``_solved``.
+  The exponentials in the auxiliary and tree sweeps are never unpacked,
+  so their sizes do not matter; the other sweeps hold returned rows only.
+  Each solver is a sweep over packed rows run by ``_solved``.
 * The checks' product and exponential pack each output row k at its own
   width, from the operands' 1-norms: every coefficient of row k of AB
   is at most sum_j C(k, j) |a_j|_1 |b_(k-j)|_1 in absolute value.  Row k
@@ -53,9 +53,10 @@ n! [z^n v^m]:
 * tree_series        solves  dF/dz = (e^F - 1 + v) / (1 - z (e^F - 1 + v)),
   so n! [z^n v^m] counts size-n trees with m ascending runs,
 * mapping_series     is  1 / (1 - z v e^A),  counting mappings by runs,
-* connected_series   is  ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)),
-  counting connected mappings by runs; its exp is the mapping series.
-  Both read v e^A = A/z - (1 - v) off A, so only A's sweep computes e^A.
+* connected_series   is  ln 1 / (1 - z v e^A),  counting connected mappings by
+  runs: the paper's ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) reduced.
+  Both read T = z v e^A = A - (1 - v) z off A, so only A's sweep computes
+  e^A, and exp(C) = R holds for any A.
 """
 
 from __future__ import annotations
@@ -304,17 +305,6 @@ def _exp_next(a: list[int], e: list[int]) -> int:
     return _binomial_conv(k - 1, a[1:], e, range(k))
 
 
-def _log(p: list[int], order: int) -> list[int]:
-    """ln P for packed rows p of a P with constant term 1, from P' = L' P.
-
-    l_k = p_k - sum_{j=1..k-1} C(k-1, j-1) l_j p_{k-j}.
-    """
-    out = [0]
-    for k in range(1, order + 1):
-        out.append(p[k] - _binomial_conv(k - 1, out[1:], p, range(k - 1)))
-    return out
-
-
 def _square(e: list[int], m: int) -> int:
     """m! [z^m] E^2 for packed rows e of an EGF E: sum_{i<=m} C(m, i) e_i e_{m-i}.
 
@@ -398,23 +388,21 @@ def mapping_series(order: int) -> BivariateSeries:
 
 
 def connected_series(order: int) -> BivariateSeries:
-    """Run-marked connected-mapping series.
+    """Run-marked connected-mapping series ln 1 / (1 - T), each component a cycle of trees.
 
-    ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) = ln(A/z) - ln(A/z - V A)
-    with V = v e^A, by A's equation.  Row k of A/z is a_{k+1} / (k+1), and so
-    is row k >= 1 of V (row 0 is v): exact, as the A sweep sets
-    a_{k+1} = (k+1) v e_k.  Then A = z (V + 1 - v), so V A = z V^2 + (1 - v) z V,
-    whose row k is k (V^2)_{k-1} + k (1 - v) V_{k-1}: a square, one product per
-    symmetric pair of terms.  Both logs have constant term 1 and follow from
-    P' = L' P over the EGF integers.
+    By A's equation A = z (v e^A + 1 - v), the paper's form
+    ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) has numerator A/z and
+    denominator A/z - v e^A A = (A/z) (1 - T), T = z v e^A.  So (1 - T) C' = T',
+    and with t_j read off A as in ``mapping_series``,
+    c_k = t_k + sum_{j=1..k-1} C(k-1, j) t_j c_{k-j}.
     """
     def sweep(v, a):
-        numer = [a[k + 1] // (k + 1) for k in range(order + 1)]
-        ve = [v] + numer[1:]
-        denom = numer[:1] + [numer[k] - k * (_square(ve, k - 1) + (1 - v) * ve[k - 1])
-                             for k in range(1, order + 1)]
-        return [p - q for p, q in zip(_log(numer, order), _log(denom, order))]
-    return _solved(order, sweep, auxiliary_series(order + 1).egf)
+        t = [0, v, *a]
+        c = []  # c[i] is c_(i+1)
+        for k in range(1, order + 1):
+            c.append(t[k] + _binomial_conv(k - 1, t, c, range(1, k)))
+        return [0, *c]
+    return _solved(order, sweep, auxiliary_series(order).egf[2:])
 
 
 def pde_residual(f: BivariateSeries) -> BivariateSeries:
@@ -450,7 +438,8 @@ def check_aux_tree_relation(order: int) -> bool:
 
 
 def check_exp_connected_is_mapping(order: int) -> bool:
-    """exp(C) = R.  Both read v e^A off one A, so this tests the formulas, not A itself."""
+    """exp(C) = R.  Both sweep over the one 1 - T read off A, so this holds for any A:
+    it tests the solvers' log and reciprocal sweeps against ``BivariateSeries.exp``."""
     return (connected_series(order).exp() - mapping_series(order)).is_zero()
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cayley_runs
 from cayley_runs.cli import run_cli
@@ -290,8 +294,25 @@ def test_workers_below_one_is_a_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-def _assert_script_rejects(script, argv, flag, value):
-    """scripts/<script> with argv exits 2 with argparse's message that flag's value is below 1."""
+def test_negative_seed_is_a_usage_error(capsys):
+    # numpy's own message named neither the flag nor the value
+    assert run_cli(["mc", "--n", "10", "--samples", "10", "--seed", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be at least 0, not -3" in captured.err
+
+
+def test_negative_config_seed_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rng_seed": -1}))
+    assert run_cli(["--config", str(cfg), "mc", "--n", "10", "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rng_seed=-1 must be non-negative\n"
+
+
+def _assert_script_rejects(script, argv, flag, value, least=1):
+    """scripts/<script> with argv exits 2 with argparse's message that flag's value is below least."""
     root = Path(__file__).resolve().parents[1]
     src = str(Path(cayley_runs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -300,7 +321,7 @@ def _assert_script_rejects(script, argv, flag, value):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stdout == ""
-    assert f"argument {flag}: must be at least 1, not {value}" in out.stderr
+    assert f"argument {flag}: must be at least {least}, not {value}" in out.stderr
     assert out.stderr.startswith("usage: ")
     assert "Traceback" not in out.stderr
 
@@ -317,6 +338,11 @@ def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
 def test_limit_law_sweep_rejects_counts_below_one(argv):
     # --workers 0 ran on one worker, and --samples 0 ended in a traceback
     _assert_script_rejects("limit_law_sweep.py", argv, argv[0], argv[-1])
+
+
+def test_limit_law_sweep_rejects_a_negative_seed():
+    # it used to end in numpy's traceback
+    _assert_script_rejects("limit_law_sweep.py", ["--seed", "-1"], "--seed", "-1", least=0)
 
 
 def test_verify_all_is_bounded(capsys):
@@ -442,3 +468,45 @@ def test_usage_errors(capsys):
 def test_missing_file_is_reported(capsys):
     assert run_cli(["runs", "--input", "/nonexistent/path.txt"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+_KEYS = st.sampled_from(["image", "parent", "n", "blocks", "links", "rng_seed",
+                         "series_order", "exhaustive_bound", "mc_tolerances", "ks"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_KEYS | st.text(max_size=3),
+                                                              kids, max_size=4),
+    max_leaves=16)
+_INPUT = st.one_of(
+    st.binary(max_size=40),
+    _JSON.map(lambda doc: json.dumps(doc).encode()),
+    st.lists(st.integers(-2, 8), max_size=8).map(lambda xs: " ".join(map(str, xs)).encode()),
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["runs", "--input", "{path}"],
+    ["runs", "--tree", "--input", "{path}"],
+    ["phi", "--tree", "{path}", "--mark", "1"],
+    ["phi-inv", "--mapping", "{path}"],
+    ["partition", "encode", "--mapping", "{path}"],
+    ["partition", "decode", "--input", "{path}"],
+    ["--config", "{path}", "mc", "--n", "5", "--samples", "5"],
+], ids=["runs", "runs-tree", "phi", "phi-inv", "partition-encode", "partition-decode", "config"])
+def test_any_input_file_ends_in_exit_0_or_a_usage_error(tmp_path_factory, argv):
+    # exit 0, or exit 2 with an "error: " line: never a traceback, whatever the file holds
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    argv = [a.replace("{path}", str(path)) for a in argv]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_INPUT)
+    def check(data):
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        assert code in (0, 2), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+    check()

@@ -171,7 +171,7 @@ def test_naive_connected_guess_is_falsified():
     order = 4
     w = series._solver_width(order)  # ln(1/(1 - F)) = sum F^k / k: n! [z^n] sums to <= n^n at v = 1
     one_minus_f = [1] + [-series._pack(p, w) for p in tree_series(order).egf[1:]]
-    naive = BivariateSeries(order, [series._unpack(-x, w) for x in series._log(one_minus_f, order)])
+    naive = BivariateSeries(order, [series._unpack(-x, w) for x in _log(one_minus_f, order)])
     conn = brute_force_tables(2)[2]
     naive_n2 = {m: naive.count(2, m) for m in (1, 2)}
     assert naive_n2 == {1: 1, 2: 2}
@@ -203,7 +203,7 @@ def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
     def unusable(*args):
         raise AssertionError("the series arithmetic called a solver helper")
 
-    for name in ("_binomial_conv", "_exp_next", "_aux_exp_next", "_square", "_log"):
+    for name in ("_binomial_conv", "_exp_next", "_aux_exp_next", "_square"):
         monkeypatch.setattr(series, name, unusable)
     assert pde_residual(f).is_zero()
 
@@ -214,6 +214,17 @@ def _exp_of(a, order):
     while len(e) <= order:
         e.append(series._exp_next(a, e))
     return e
+
+
+def _log(p, order):
+    """Packed rows of ln P up to z^order from the packed rows p of a P with constant term 1.
+
+    From P' = L' P: l_k = p_k - sum_{j=1..k-1} C(k-1, j-1) l_j p_{k-j}.
+    """
+    out = [0]
+    for k in range(1, order + 1):
+        out.append(p[k] - series._binomial_conv(k - 1, out[1:], p, range(k - 1)))
+    return out
 
 
 def _reference_mapping_series(order):
@@ -235,13 +246,15 @@ def _reference_connected_series(order):
     numer = [1] + [e[k] << w for k in range(1, order + 1)]
     a_e = [series._binomial_conv(k, a, e, range(1, k + 1)) for k in range(order + 1)]
     denom = [1] + [e[k] - a_e[k] << w for k in range(1, order + 1)]
-    logs = series._log(numer, order), series._log(denom, order)
+    logs = _log(numer, order), _log(denom, order)
     return BivariateSeries(order, [series._unpack(p - q, w) for p, q in zip(*logs)])
 
 
 def test_solvers_match_the_exponential_reference():
-    # v e^A read off A's own equation gives the series that recomputing e^A gives
-    for order in range(31):
+    # v e^A read off A's own equation gives the series that recomputing e^A gives, and
+    # ln 1/(1 - T) the paper's two-log form; at order 60 the top rows come within a few
+    # bits of the packing width
+    for order in (*range(31), 60):
         assert mapping_series(order) == _reference_mapping_series(order)
         assert connected_series(order) == _reference_connected_series(order)
 
@@ -269,15 +282,15 @@ def test_exponential_steps_run_only_in_the_auxiliary_sweep(monkeypatch):
     monkeypatch.setattr(series, "_exp_next", unusable)
     monkeypatch.setattr(series, "auxiliary_series", traced_aux)
     for order in (1, 2, 14, 30):
-        for solver, steps in ((mapping_series, order - 1), (connected_series, order)):
+        for solver in (mapping_series, connected_series):
             calls.update(inside=0, outside=0)
             solver(order)
-            assert calls == {"inside": steps, "outside": 0}, (solver.__name__, order)
+            assert calls == {"inside": order - 1, "outside": 0}, (solver.__name__, order)
 
 
 def test_a_wrong_auxiliary_series_fails_checks_2_and_3(capsys, monkeypatch):
-    # a_3 off by a multiple of 3 keeps every division by the index exact, so only the
-    # checks that re-derive A's relations can see it; check 4 alone cannot
+    # exp(C) = R holds for any A, as both are sweeps over the 1 - T read off A, so only
+    # the checks that re-derive A's relations can see a wrong A; check 4 alone cannot
     aux = series.auxiliary_series
 
     def perturbed(order):
@@ -307,7 +320,7 @@ def test_exp_connected_check_catches_a_wrong_denominator():
     w = 4 * series._solver_width(order)  # wide enough for the mutant's signed coefficients
     for sign, is_connected in ((-1, True), (1, False)):
         denom = numer + sign * v_ea * a.truncate(order)
-        logs = [series._log([series._pack(p, w) for p in s.egf], order) for s in (numer, denom)]
+        logs = [_log([series._pack(p, w) for p in s.egf], order) for s in (numer, denom)]
         c = BivariateSeries(order, [series._unpack(p - q, w) for p, q in zip(*logs)])
         assert (c == connected_series(order)) is is_connected
         assert (c.exp() - r).is_zero() is is_connected
