@@ -9,7 +9,9 @@ ordered set partition (blocks sorted by decreasing maximum) together
 with a link sequence recording the image of each block's largest
 element; the pair determines the mapping uniquely.
 
-Decoding validates a pair in one pass over its blocks' predecessors,
+Decoding needs no sort: one pass records each label's block, and one
+upward scan over the labels gives each label its predecessor in its
+block and each block its top.  It validates the pair from these alone,
 which a lemma shows is the same as re-encoding it; ``forbidden_links``
 states the restriction for the counting oracle.
 """
@@ -188,9 +190,9 @@ def encode_partition(m: Mapping) -> tuple[OrderedSetPartition, LinkSequence]:
 def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     """Rebuild the mapping from run blocks and links.
 
-    Within a block sorted increasingly each element maps to the next;
-    the largest element maps to its link.  Rejects link sequences that
-    break the restriction, since those pairs are outside the image of
+    Within a block each element maps to the next larger one, and the
+    largest element maps to its link.  Rejects link sequences that break
+    the restriction, since those pairs are outside the image of
     ``encode_partition``: the encoding is a bijection onto the restricted
     pairs, so a pair is valid exactly when its mapping re-encodes to it.
 
@@ -202,8 +204,22 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     pred, the encoder's blocks are these blocks, taken by decreasing top,
     each with its link; when it is not, some top t = down[j] joins j's
     block in the encoding but not here.  So the pair re-encodes to itself
-    exactly when block maxima strictly decrease and no such block exists,
-    which is checked in one pass instead of re-encoding.
+    exactly when block maxima strictly decrease and no such block exists.
+
+    pred and the tops come from two linear passes, with no block sorted,
+    as in ``kernels.decode_partition``.  The owner pass records owner[a],
+    the index of a's block.  The upward scan visits a = 1, ..., n and
+    keeps last[k], the largest label of block k visited so far (0 before
+    any).  When a is visited, every label of its block below a has been
+    visited and none above it, so last[owner[a]] is the largest label of
+    the block below a: it is pred[a], and f(pred[a]) = a.  After the scan
+    last[k] is the largest label of block k, its top, which maps to link k.
+
+    The labels are checked to be ints in [1, n] and the blocks non-empty.
+    The blocks hold n labels in all, so a label in two blocks leaves some
+    label with no owner, which is rejected before the scan.  Then every
+    label in [1, n] gets exactly one image, the next label of its block
+    or a link checked to lie in [1, n], so the image needs no second check.
     """
     n = s.n
     if len(x) != len(s.blocks):
@@ -212,27 +228,34 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     for nj in x:
         if type(nj) is not int or not 1 <= nj <= n:
             raise InvalidLinkSequenceError(f"link {nj!r} outside [1, {n}]")
-    # one pass over all labels before any block is sorted; bool, float and str are not int
-    if set(map(type, itertools.chain.from_iterable(s.blocks))) != {int}:
+    labels = list(itertools.chain.from_iterable(s.blocks))
+    # bool, float and str are not int; a partition with no blocks fails here too
+    if set(map(type, labels)) != {int}:
         raise LabelOutOfRangeError("block labels must be ints")
-    image = [0] * n
+    if min(labels) < 1 or max(labels) > n or not all(s.blocks):
+        raise LabelOutOfRangeError(f"a block is empty or has a label outside [1, {n}]")
+    owner = [-1] * (n + 1)  # slot 0 is never read
+    for k, block in enumerate(s.blocks):
+        for a in block:
+            owner[a] = k
+    if -1 in owner[1:]:
+        raise LabelOutOfRangeError(
+            f"label {owner.index(-1, 1)} is in no block, so another is in two")
+    last = [0] * len(s.blocks)
     pred = [0] * (n + 1)
-    tops = []
-    for block, nj in zip(s.blocks, x):
-        run = sorted(block)
-        if not run or run[0] < 1 or run[-1] > n:
-            raise LabelOutOfRangeError(f"block {run} is empty or leaves [1, {n}]")
-        for a, b in zip(run, run[1:]):
-            image[a - 1] = b
-            pred[b] = a
-        image[run[-1] - 1] = nj
-        tops.append(run[-1])
-    m = make_mapping(image)
-    if (any(later >= earlier for later, earlier in zip(tops[1:], tops))
-            or any(pred[nj] < top < nj for top, nj in zip(tops, x))):
+    image = [0] * (n + 1)  # image[a] = f(a); a block's least writes the dropped slot 0
+    for a in range(1, n + 1):
+        k = owner[a]
+        p = pred[a] = last[k]
+        image[p] = a
+        last[k] = a
+    for top, nj in zip(last, x):
+        image[top] = nj
+    if (any(later >= earlier for later, earlier in zip(last[1:], last))
+            or any(pred[nj] < top < nj for top, nj in zip(last, x))):
         raise InvalidLinkSequenceError(
             "a link is forbidden by an earlier block: the pair does not re-encode to itself")
-    return m
+    return Mapping(n=n, image=tuple(image[1:]))
 
 
 def _set_partitions(n: int, m: int) -> Iterator[list[list[int]]]:

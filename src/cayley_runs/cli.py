@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, bijections, core, exact, kernels, montecarlo, runs, series
-from .config import MC_CELLS_BOUND, MC_N_BOUND, SERIES_BOUND, Config, load_config
+from .config import MC_CELLS_BOUND, MC_N_BOUND, SERIES_BOUND, TABLE_BOUND, Config, load_config
 
 
 def _read(path: str) -> str:
@@ -148,6 +148,8 @@ def _cmd_table(args, cfg: Config) -> int:
         tree_t, map_t, conn_t = exact.brute_force_tables(n, workers=args.workers,
                                                          max_size=bound)
         table = {"tree": tree_t, "mapping": map_t, "connected": conn_t}[args.kind]
+    elif args.kind != "connected" and n > TABLE_BOUND:
+        raise ValueError(f"n={n} exceeds table bound {TABLE_BOUND}")
     elif args.kind == "tree":
         table = exact.tree_run_table(n)
     elif args.kind == "mapping":

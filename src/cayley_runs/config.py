@@ -16,6 +16,10 @@ from .montecarlo import _CHUNK_CELLS
 # takes about 15-21 s as a process on a 2-core x86-64 machine, and about
 # 50 s at order 120
 SERIES_BOUND = 100
+# the largest n the closed-form tree and mapping tables accept: at n = 1000
+# the table takes about 0.7-0.8 s as a process on the same machine, and from
+# about n = 1,340 its counts pass CPython's 4,300-digit limit on printing an int
+TABLE_BOUND = 1000
 # the largest n mc accepts, so that one chunk of rows holds at most 2^21 int64
 # draws (16 MiB)
 MC_N_BOUND = _CHUNK_CELLS

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,11 @@ def test_decode_rejects_malformed_sequences():
     ((frozenset({0, 1}),), (1,)),  # label 0
     ((frozenset({"a"}),), (1,)),  # not comparable with an int
     ((frozenset({1.0}),), (1,)),  # in range, but not an int
+    ((frozenset({1, 2}), frozenset({2})), (1, 1)),  # 2 in two blocks, so 3 in none
+    ((frozenset({1}), frozenset()), (1, 1)),  # an empty block
+    ((frozenset({True}),), (1,)),  # bool is an int subclass
+    ((frozenset({1}), frozenset({-1})), (1, 1)),  # -1 must not stand in for the missing 2
+    ((frozenset({3}), frozenset({0, 1})), (1, 1)),  # label 0 next to valid ones
 ])
 def test_decode_rejects_labels_outside_range(blocks, links):
     # a partition built directly, without the checks in make_partition
@@ -336,6 +342,23 @@ def test_decode_check_matches_re_encoding(n):
                             == _outcome(_decode_by_re_encoding, partition, links))
                     pairs += 1
     assert pairs == [1, 10, 219, 8_676, 544_505][n - 1]
+
+
+def test_decode_check_matches_re_encoding_at_n_1000():
+    # the same lemma on large seeded mappings, one block's link moved up by one at a time
+    rng = np.random.default_rng(15)
+    n = 1000
+    outcomes = set()
+    for images in rng.integers(1, n + 1, size=(3, n)):
+        m = make_mapping(images.tolist())
+        partition, links = encode_partition(m)
+        assert decode_partition(partition, links) == m
+        for j in rng.choice(len(links), size=min(40, len(links)), replace=False):
+            moved = links[:j] + (links[j] % n + 1,) + links[j + 1:]
+            got = _outcome(decode_partition, partition, moved)
+            assert got == _outcome(_decode_by_re_encoding, partition, moved)
+            outcomes.add(type(got))
+    assert outcomes == {type(m), tuple}  # some moved links are accepted, some rejected
 
 
 @pytest.mark.parametrize("n,m,expected", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 18)])

@@ -112,6 +112,27 @@ def test_table_respects_bound(capsys):
     assert code == 0  # closed form has no exhaustive bound
 
 
+_TABLE = cayley_runs.config.TABLE_BOUND
+
+
+@pytest.mark.parametrize("kind", ["tree", "mapping"])
+def test_closed_form_table_beyond_its_bound_is_a_usage_error(capsys, monkeypatch, kind):
+    # past about n = 1,340 a count has more digits than CPython prints, after rows were printed
+    def unusable(n):
+        raise AssertionError("table computed counts past its bound")
+
+    monkeypatch.setattr(cayley_runs.exact, f"{kind}_run_table", unusable)
+    assert run_cli(["table", "--kind", kind, "--n", str(_TABLE + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: n={_TABLE + 1} exceeds table bound {_TABLE}\n")
+
+
+def test_closed_form_table_at_its_bound(capsys):
+    code, out = run(capsys, "table", "--kind", "mapping", "--n", str(_TABLE))
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()] == [
+        [str(_TABLE), str(m)] for m in range(1, _TABLE + 1)]
+
+
 @pytest.mark.parametrize("kind", ["tree", "mapping", "connected"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_table_rejects_non_positive_n(capsys, kind, n):
