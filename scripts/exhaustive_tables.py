@@ -15,7 +15,7 @@ before a pool would start; `--n-max 9` is the first that uses a pool.
 import argparse
 import time
 
-from cayley_runs import brute_force_tables, mapping_runs, tree_runs
+from cayley_runs import brute_force_tables, mapping_run_table, tree_run_table
 from cayley_runs.cli import AtLeastOne
 
 
@@ -33,14 +33,13 @@ def main() -> None:
         print(f"n={n}  ({elapsed:.2f}s, {n ** n} arrays)")
         print(f"  {'m':>3} {'trees':>14} {'formula':>14} "
               f"{'mappings':>16} {'formula':>16} {'connected':>14}")
+        tree_f, map_f = tree_run_table(n).values, mapping_run_table(n).values
         for m in range(1, n + 1):
-            print(f"  {m:>3} {tree_t.values.get(m, 0):>14} {tree_runs(n, m):>14} "
-                  f"{map_t.values.get(m, 0):>16} {mapping_runs(n, m):>16} "
+            print(f"  {m:>3} {tree_t.values.get(m, 0):>14} {tree_f[m]:>14} "
+                  f"{map_t.values.get(m, 0):>16} {map_f[m]:>16} "
                   f"{conn_t.values.get(m, 0):>14}")
-        assert tree_t.values == {m: tree_runs(n, m) for m in range(1, n + 1)
-                                 if tree_runs(n, m)}
-        assert map_t.values == {m: mapping_runs(n, m) for m in range(1, n + 1)
-                                if mapping_runs(n, m)}
+        assert tree_t.values == tree_f
+        assert map_t.values == map_f
     print("all brute-force tables match the closed forms")
 
 

@@ -53,7 +53,6 @@ from .exact import (
     SizeTooLargeError,
     brute_force_tables,
     exact_moments,
-    falling_factorial,
     mapping_run_table,
     mapping_runs,
     stirling2,

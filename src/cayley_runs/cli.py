@@ -143,29 +143,30 @@ def _cmd_partition(args, _cfg: Config) -> int:
 
 def _cmd_table(args, cfg: Config) -> int:
     n = args.n
-    bound = args.max_size if args.max_size is not None else cfg.exhaustive_bound
+    if n < 1:
+        raise ValueError("n must be positive")
+    # kind -> (oracle slot, table, bound name, bound); connected counts come from the series
+    slot, closed_form, name, bound = {
+        "tree": (0, exact.tree_run_table, "table", TABLE_BOUND),
+        "mapping": (1, exact.mapping_run_table, "table", TABLE_BOUND),
+        "connected": (2, lambda n: series.series_count_table(series.connected_series(n), n),
+                      "series", SERIES_BOUND),
+    }[args.kind]
     if args.oracle:
-        tree_t, map_t, conn_t = exact.brute_force_tables(n, workers=args.workers,
-                                                         max_size=bound)
-        table = {"tree": tree_t, "mapping": map_t, "connected": conn_t}[args.kind]
-    elif args.kind != "connected" and n > TABLE_BOUND:
-        raise ValueError(f"n={n} exceeds table bound {TABLE_BOUND}")
-    elif args.kind == "tree":
-        table = exact.tree_run_table(n)
-    elif args.kind == "mapping":
-        table = exact.mapping_run_table(n)
-    else:
-        # no closed form for connected counts; extract them from the series
-        if n < 1:
-            raise ValueError("n must be positive")
-        table = series.series_count_table(series.connected_series(_series_order(n, cfg, "n")), n)
+        name, bound = "exhaustive", (args.max_size if args.max_size is not None
+                                     else cfg.exhaustive_bound)
+    if n > bound:
+        raise ValueError(f"n={n} exceeds {name} bound {bound}")
+    table = (exact.brute_force_tables(n, workers=args.workers, max_size=bound)[slot]
+             if args.oracle else closed_form(n))
     for m in sorted(table.values):
         print(f"{n},{m},{table.values[m]}")
     return 0
 
 
-def _series_order(order: int | None, cfg: Config, name: str = "order") -> int:
+def _series_order(order: int | None, cfg: Config) -> int:
     """order, or the configured series_order when it is None; ValueError beyond SERIES_BOUND."""
+    name = "order"
     if order is None:
         order, name = cfg.series_order, "series_order"
     if order > SERIES_BOUND:

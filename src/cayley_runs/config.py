@@ -17,7 +17,7 @@ from .montecarlo import _CHUNK_CELLS
 # 50 s at order 120
 SERIES_BOUND = 100
 # the largest n the closed-form tree and mapping tables accept: at n = 1000
-# the table takes about 0.7-0.8 s as a process on the same machine, and from
+# the table takes about 0.65-0.75 s as a process on the same machine, and from
 # about n = 1,340 its counts pass CPython's 4,300-digit limit on printing an int
 TABLE_BOUND = 1000
 # the largest n mc accepts, so that one chunk of rows holds at most 2^21 int64

@@ -70,28 +70,18 @@ def stirling2(n: int, m: int) -> int:
     return _stirling_row(n)[m]
 
 
-def falling_factorial(n: int, m: int) -> int:
-    """n (n-1) ... (n-m+1); the empty product for m = 0."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    out = 1
-    for k in range(m):
-        out *= n - k
-    return out
-
-
 def tree_runs(n: int, m: int) -> int:
     """Number of size-n labelled rooted trees with exactly m ascending runs."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return falling_factorial(n - 1, m - 1) * stirling2(n, m)
+    return math.perm(n - 1, m - 1) * stirling2(n, m)
 
 
 def mapping_runs(n: int, m: int) -> int:
     """Number of size-n mappings with exactly m ascending runs; n times the tree count."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return falling_factorial(n, m) * stirling2(n, m)
+    return math.perm(n, m) * stirling2(n, m)
 
 
 def tree_runs_alternating(n: int, m: int) -> int:
@@ -106,15 +96,20 @@ def tree_runs_alternating(n: int, m: int) -> int:
 
 
 def tree_run_table(n: int) -> CountTable:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return CountTable(n=n, values={m: tree_runs(n, m) for m in range(1, n + 1)})
+    """The mapping table over n: the tree bijection takes each (tree, mark) to one mapping, runs kept."""
+    values = mapping_run_table(n).values
+    return CountTable(n=n, values={m: c // n for m, c in values.items()})
 
 
 def mapping_run_table(n: int) -> CountTable:
+    """n (n-1) ... (n-m+1) S(n, m) for m = 1..n, the falling product kept as m grows."""
     if n < 1:
         raise ValueError("n must be positive")
-    return CountTable(n=n, values={m: mapping_runs(n, m) for m in range(1, n + 1)})
+    row, fall, values = _stirling_row(n), 1, {}
+    for m in range(1, n + 1):
+        fall *= n - m + 1
+        values[m] = fall * row[m]
+    return CountTable(n=n, values=values)
 
 
 def exact_moments(n: int) -> ExactMoments:

@@ -138,9 +138,21 @@ def test_closed_form_table_at_its_bound(capsys):
 def test_table_rejects_non_positive_n(capsys, kind, n):
     for extra in ([], ["--oracle"]):
         assert run_cli(["table", "--kind", kind, "--n", n, *extra]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert capsys.readouterr() == ("", "error: n must be positive\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "connected", "--n", "101"], "n=101 exceeds series bound 100"),
+    (["--kind", "tree", "--n", "8", "--oracle"], "n=8 exceeds exhaustive bound 7"),
+    (["--kind", "mapping", "--n", "8", "--oracle"], "n=8 exceeds exhaustive bound 7"),
+    (["--kind", "connected", "--n", "8", "--oracle"], "n=8 exceeds exhaustive bound 7"),
+    (["--kind", "tree", "--n", "9", "--oracle", "--max-size", "8"],
+     "n=9 exceeds exhaustive bound 8"),
+])
+def test_table_past_its_bound_names_the_bound(capsys, argv, message):
+    # the table bound's message is pinned by the closed-form bound test above
+    assert run_cli(["table", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_series_csv(capsys):

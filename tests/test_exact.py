@@ -14,7 +14,6 @@ from cayley_runs import (
     components,
     connected_series,
     exact_moments,
-    falling_factorial,
     make_mapping,
     mapping_run_table,
     mapping_runs,
@@ -79,15 +78,6 @@ def test_stirling_inclusion_exclusion(n, m):
     assert stirling2(n, m) == acc // math.factorial(m)
 
 
-def test_falling_factorial():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(3, 4) == 0
-    assert falling_factorial(0, 0) == 1
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
-
-
 def test_tree_runs_examples():
     assert tree_runs(1, 1) == 1
     assert [tree_runs(3, m) for m in (1, 2, 3)] == [1, 6, 2]
@@ -107,6 +97,14 @@ def test_closed_forms_against_local_oracle(n):
     tree, mapp = _oracle_tables(n)
     assert tree == {m: tree_runs(n, m) for m in range(1, n + 1) if tree_runs(n, m)}
     assert mapp == {m: mapping_runs(n, m) for m in range(1, n + 1) if mapping_runs(n, m)}
+
+
+def test_one_pass_tables_equal_the_per_m_formulas():
+    for n in [*range(1, 61), 1000]:
+        tree, mapp = tree_run_table(n).values, mapping_run_table(n).values
+        assert tree == {m: tree_runs(n, m) for m in range(1, n + 1)}
+        assert mapp == {m: mapping_runs(n, m) for m in range(1, n + 1)}
+        assert all(mapp[m] == n * tree[m] for m in range(1, n + 1))
 
 
 def test_mapping_equals_n_times_tree():
@@ -266,7 +264,8 @@ def test_brute_force_calls_no_formula(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not call a formula")
 
-    for name in ("stirling2", "mapping_runs", "tree_runs"):
+    for name in ("_stirling_row", "stirling2", "mapping_runs", "tree_runs",
+                 "tree_run_table", "mapping_run_table"):
         monkeypatch.setattr(exact, name, forbidden)
     for name in ("auxiliary_series", "tree_series", "mapping_series", "connected_series"):
         monkeypatch.setattr(series, name, forbidden)
