@@ -3,11 +3,12 @@
 
 The exhaustive scan enumerates all n^n arrays.  n = 8 is about 1.7e7
 arrays: `--n-max 8 --workers 2`, which raises the bound to its n-max,
-takes about 0.55-0.6 s as a process on a 2-core x86-64 box (numpy 2.4),
-and the script's own timer puts n = 8 itself at about 0.15 s.  Most of
-the rest is start-up, as in
+takes about 0.28 s as a process on a 2-core x86-64 box (numpy 2.4),
+and the script's own timer puts n = 8 itself at about 0.12 s; its n = 1
+line also counts loading numpy, which the first scan does.  Most of the
+rest is start-up, as in
 `cayley-runs table --kind tree --n 8 --oracle --max-size 8 --workers 2`,
-which takes 0.35-0.45 s as a process.  Every size up to 8 is scanned in
+which takes about 0.26 s as a process.  Every size up to 8 is scanned in
 this process whatever `--workers` says, because a scan that short ends
 before a pool would start; `--n-max 9` is the first that uses a pool.
 """

@@ -4,7 +4,15 @@ Exact counting through Stirling numbers, the marked-tree/mapping and
 run-partition bijections, exact truncated series for the generating
 functions, singularity and limit-law constants, and seeded Monte Carlo
 validation of the Gaussian limit.
+
+Only ``kernels`` and ``montecarlo`` import numpy when they load, so
+importing the package, parsing arguments and every command but ``mc``,
+``verify-all`` and ``table --oracle`` run without numpy.  The package
+resolves those two modules, and montecarlo's exports, on first access
+(``__getattr__``).
 """
+
+import importlib
 
 from .asymptotics import (
     CltConstants,
@@ -60,15 +68,6 @@ from .exact import (
     tree_runs,
     tree_runs_alternating,
 )
-from .montecarlo import (
-    DegenerateVarianceError,
-    NormalityReport,
-    RunStatistics,
-    normality_check,
-    run_statistics,
-    sample_mapping,
-    sample_tree,
-)
 from .runs import RunProfile, count_ascents, run_starts_mapping, run_starts_tree
 from .series import (
     BivariateSeries,
@@ -84,3 +83,31 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY_MODULES = ("kernels", "montecarlo")
+_MONTECARLO_EXPORTS = (
+    "DegenerateVarianceError",
+    "NormalityReport",
+    "RunStatistics",
+    "normality_check",
+    "run_statistics",
+    "sample_mapping",
+    "sample_tree",
+)
+
+
+def __getattr__(name: str):
+    """The numpy-backed modules and montecarlo's exports, imported on first access.
+
+    montecarlo's attribute is looked up afresh on every access and never
+    bound here, so a name patched in montecarlo is the name seen here.
+    """
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MONTECARLO_EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.montecarlo"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_MONTECARLO_EXPORTS})

@@ -2,7 +2,10 @@
 
 Structured results go to stdout as JSON or CSV; diagnostics go to
 stderr.  Exit codes: 0 success (and all checks passed for the verify
-subcommands), 1 check failure, 2 usage errors.
+subcommands), 1 check failure, 2 usage errors.  numpy, ``kernels`` and
+``montecarlo`` are imported only by ``mc`` and the ``verify-all``
+helpers (``table --oracle`` loads them through ``exact``), so every
+other command starts without numpy.
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import asymptotics, bijections, core, exact, kernels, montecarlo, runs, series
+from . import asymptotics, bijections, core, exact, runs, series
 from .config import MC_CELLS_BOUND, MC_N_BOUND, SERIES_BOUND, TABLE_BOUND, Config, load_config
 
 
@@ -231,6 +232,8 @@ def _cmd_mc(args, cfg: Config) -> int:
     if args.n * args.samples > MC_CELLS_BOUND:
         raise ValueError(f"n x samples={args.n * args.samples} exceeds mc cell bound "
                          f"{MC_CELLS_BOUND}")
+    from . import montecarlo
+
     seed = args.seed if args.seed is not None else cfg.rng_seed
     stats = montecarlo.run_statistics(
         args.n, args.samples, seed, workers=args.workers, use_trees=args.trees)
@@ -261,6 +264,8 @@ _VERIFY_CELLS = 1 << 14  # cells per verify-all block: its checks peak under 1 M
 
 def _array_blocks(n: int):
     """Every array of [n]^n in ``itertools.product`` order, in blocks of <= _VERIFY_CELLS cells."""
+    import numpy as np
+
     step = max(1, _VERIFY_CELLS // n)
     place = n ** np.arange(n - 1, -1, -1)
     for start in range(0, n ** n, step):
@@ -269,6 +274,8 @@ def _array_blocks(n: int):
 
 
 def _labels(mask) -> frozenset[int]:
+    import numpy as np
+
     return frozenset((np.flatnonzero(mask) + 1).tolist())
 
 
@@ -281,6 +288,10 @@ def _check_block(images) -> tuple[bool, bool, bool]:
     itself.  Row 0 also goes through the scalar functions behind
     ``phi-inv``, ``runs`` and ``partition encode``, which must agree.
     """
+    import numpy as np
+
+    from . import kernels
+
     n = images.shape[1]
     parents, marks = kernels.mapping_to_tree(images)
     one_root = np.count_nonzero(parents == np.arange(1, n + 1), axis=1) == 1

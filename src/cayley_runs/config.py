@@ -10,19 +10,18 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .exact import DEFAULT_EXHAUSTIVE_BOUND
-from .montecarlo import _CHUNK_CELLS
 
 # the largest order the series commands accept: verify-series at order 100
 # takes about 15-21 s as a process on a 2-core x86-64 machine, and about
 # 50 s at order 120
 SERIES_BOUND = 100
 # the largest n the closed-form tree and mapping tables accept: at n = 1000
-# the table takes about 0.65-0.75 s as a process on the same machine, and from
+# the table takes about 0.35 s as a process on the same machine, and from
 # about n = 1,340 its counts pass CPython's 4,300-digit limit on printing an int
 TABLE_BOUND = 1000
-# the largest n mc accepts, so that one chunk of rows holds at most 2^21 int64
-# draws (16 MiB)
-MC_N_BOUND = _CHUNK_CELLS
+# the cells in one Monte Carlo chunk of MC_N_BOUND // n rows, and the largest n mc
+# accepts, so that a chunk holds at most 2^21 int64 draws (16 MiB) and at least a row
+MC_N_BOUND = 1 << 21
 # the most cells, n x samples, mc accepts: on one worker of the same machine
 # mappings take about 12 ns a cell, so 10^10 cells take about 2 minutes, and
 # trees (--trees) about 740 ns a cell

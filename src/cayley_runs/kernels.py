@@ -10,16 +10,24 @@ may pass the narrowest unsigned type that holds n.
 
 ``_climb`` is the one pointer-doubling walk.  ``cycles`` counts cycles
 with it, for the suffix and contracted-prefix tables of the brute-force
-oracle in ``exact``, and the batched tree bijection finds cycle maxima
-and ancestor maxima with it.  ``mapping_to_tree`` and
-``tree_to_mapping`` are the tree bijection of ``bijections``;
-``run_starts`` is the run-start predicate of ``runs``;
-``encode_partition`` and ``decode_partition`` are the run-partition
-bijection, a partition given as each label's block index.
+oracle, and the batched tree bijection finds cycle maxima and ancestor
+maxima with it.  ``mapping_to_tree`` and ``tree_to_mapping`` are the
+tree bijection of ``bijections``; ``run_starts`` is the run-start
+predicate of ``runs``; ``encode_partition`` and ``decode_partition``
+are the run-partition bijection, a partition given as each label's
+block index.
 ``run_counts`` scatters in row blocks of at most ``_BLOCK_CELLS`` cells,
 so its temporaries stay in cache and its memory does not grow with the
 rows.  ``pooled_sum`` spreads such batched work over worker processes,
 and ``pool_size`` says how many it starts.
+
+The brute-force oracle's array engine lives here too: ``_tally_blocks``
+tallies every array with given prefixes through the tables of
+``_suffix_tables``, and ``exact.brute_force_tables`` deals the prefixes
+to its jobs.  This module and ``montecarlo`` are the only ones that
+import numpy (and this one ``multiprocessing``) when they load; every
+other module loads them on first use, so commands that draw or scan no
+array start without them.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ import os
 import numpy as np
 
 _BLOCK_CELLS = 1 << 16  # cells per run_counts scatter block: its index array is 512 KiB
+# The brute-force oracle's suffix is the last 4 entries: each job tabulates its n^4
+# values, 2,401 at n = 7, and the prefixes before it are dealt to the jobs.
+_FREE_ENTRIES = 4
+_CHUNK_CELLS = 1 << 16  # oracle cells classified at once: 128 KiB uint16 keys at n = 7 and 8
 
 
 def pool_size(workers: int, jobs: int) -> int:
@@ -251,3 +263,118 @@ def decode_partition(blocks: np.ndarray, links: np.ndarray) -> tuple[np.ndarray,
     bad = (np.take(pred, links + wide) < tops) & (tops < links)  # forbidden links
     bad[:, 1:] |= (tops[:, 1:] >= tops[:, :-1]) & (tops[:, 1:] > 0)  # tops not decreasing
     return images, ~any_per_row(bad)
+
+
+def _ascent_bits(images: np.ndarray) -> np.ndarray:
+    """Per row, the set {f(i) : f(i) > i} over columns i = 1, 2, ..., as bit f(i) - 1."""
+    nodes = np.arange(1, images.shape[1] + 1)
+    bits = np.where(images > nodes, np.left_shift(1, images - 1), 0)
+    return np.bitwise_or.reduce(bits, axis=1)
+
+
+def _suffix_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
+    """Tabulate the n^(n-p) suffixes once, for arrays whose first p entries vary.
+
+    One ``cycles`` walk over the suffix block, with the p prefix
+    nodes held as fixed points, gives for each suffix r and node y the
+    first prefix node on the path from y (0 when the path ends on a suffix
+    cycle) and the number of cycles inside the suffix.  A cell's key, in
+    base q = p + 2, is
+
+        (min(inner cycles, 2) + 3 [the suffix has a fixed point]) q^p
+        + sum_i code_i q^(p - 1 - i),
+
+    where code_i is that first prefix node for y = y_i, except that a
+    prefix fixed point y_i = i is coded p + 1.  A second walk, over every
+    contracted map of {0, ..., p} (0 a sink) that the codes spell, counts
+    the cycles through the prefix.
+
+    Returns (codes, classes, ascents, runs).  codes[i, y - 1, r] is prefix
+    entry i's share of the key when that entry is y and the suffix is r,
+    and codes[0] also carries the suffix's share; classes[key] is
+    (n + 1) (conn + tree); ascents[r] holds the suffix's ascent targets as
+    bits; runs[b] is n minus the bits set in b.
+    """
+    s, q = n - p, p + 2
+    block = np.empty((n ** s, n), dtype=np.intp)
+    block[:, :p] = np.arange(1, p + 1)
+    block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
+    ends, inner = cycles(block)
+    suffix_fixed = (block[:, p:] == np.arange(p + 1, n + 1)).any(axis=1)
+    suffix_share = (np.minimum(inner - p, 2) + 3 * suffix_fixed) * q ** p
+
+    key_type = np.min_scalar_type(6 * q ** p - 1)
+    first_in_prefix = np.where(ends <= p, ends, 0).T
+    codes = np.empty((p, n, n ** s), dtype=key_type)
+    for i in range(p):
+        codes[i] = first_in_prefix
+        codes[i, i] = p + 1
+        codes[i] *= q ** (p - 1 - i)
+    codes[0] += suffix_share.astype(key_type)
+
+    contracted_keys = np.indices((q,) * p).reshape(p, q ** p).T
+    own = contracted_keys == p + 1
+    contracted = np.ones((q ** p, p + 1), dtype=np.intp)
+    contracted[:, 1:] = np.where(own, np.arange(2, p + 2), contracted_keys + 1)
+    prefix_cycles = cycles(contracted)[1] - 1  # the sink's loop is not a cycle
+    suffix_cycles = np.arange(3)[:, None]  # 0, 1, or at least 2
+    conn = suffix_cycles + prefix_cycles == 1
+    suffix_fixed_axis = np.array([False, True])[:, None, None]
+    tree = conn & (suffix_fixed_axis | own.any(axis=1))
+    # int first: bool + bool would be a logical or
+    classes = ((n + 1) * (conn.astype(int) + tree)).astype(np.min_scalar_type(3 * n + 2))
+
+    bits = np.arange(1 << n)
+    set_bits = ((bits[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    mask_type = np.min_scalar_type((1 << n) - 1)
+    return (codes, classes.reshape(-1), _ascent_bits(block).astype(mask_type),
+            (n - set_bits).astype(classes.dtype))
+
+
+def _classes(tables: tuple[np.ndarray, ...], prefixes: np.ndarray) -> np.ndarray:
+    """Class runs + (n + 1) (conn + tree) of each (prefix row, suffix) cell.
+
+    Row k holds the cells of prefix k, with the suffixes in the order of
+    ``itertools.product``, so cell (k, r) is the array prefix k + suffix r.
+    """
+    codes, classes, ascents, runs = tables
+    key = codes[0][prefixes[:, 0] - 1]
+    for i in range(1, prefixes.shape[1]):
+        key += codes[i][prefixes[:, i] - 1]
+    out = np.take(classes, key)  # np.take gathers faster than fancy indexing
+    prefix_ascents = _ascent_bits(prefixes).astype(ascents.dtype)
+    out += np.take(runs, ascents | prefix_ascents[:, None])
+    return out
+
+
+def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
+    """Run-count tallies (tree, mapping, connected) over every array with the given prefixes.
+
+    Split f in [n]^n into its prefix P = (1, ..., p) and suffix S = (p + 1,
+    ..., n).  Lemma: the cycles of f are the cycles inside S plus one for
+    each cycle of the contracted map i -> c_i on P, where c_i is the first
+    node of P on the path f(i), f(f(i)), ... and c_i = 0 when that path
+    ends on a cycle inside S (0 is a sink).  A cycle of f either avoids P,
+    and lies inside S, or meets P, and its P nodes in order form a cycle
+    of the contraction; a contracted cycle comes from exactly one such
+    cycle of f.  Every component of a functional graph holds one cycle, so
+    f is connected exactly when it has one cycle; a connected f is the
+    parent array of a rooted tree exactly when its cycle is a fixed point,
+    that is, when P or S has one; and the run starts are the nodes that no
+    ascent of P or S targets, the union of the two ascent sets.
+
+    So each job tabulates the suffixes once (``_suffix_tables``) and then
+    classifies the cells of ``_CHUNK_CELLS`` at a time by table lookups.
+    Every array is still counted once and no formula is called.
+    """
+    p = len(prefixes[0])
+    tables = _suffix_tables(n, p)
+    rows = np.array(prefixes, dtype=np.intp)
+    step = max(1, _CHUNK_CELLS // n ** (n - p))
+    counts = np.zeros(3 * (n + 1), dtype=np.int64)
+    for start in range(0, len(rows), step):
+        cells = _classes(tables, rows[start:start + step])
+        counts += np.bincount(cells.reshape(-1), minlength=3 * (n + 1))
+    # rows: not connected, connected but not a tree, tree
+    by_class = counts.reshape(3, n + 1)
+    return np.stack([by_class[2], by_class.sum(axis=0), by_class[1] + by_class[2]])

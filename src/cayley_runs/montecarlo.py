@@ -23,9 +23,8 @@ import numpy as np
 
 from . import kernels
 from .bijections import mapping_to_tree
+from .config import MC_N_BOUND
 from .core import CayleyTree, Mapping, make_mapping
-
-_CHUNK_CELLS = 1 << 21  # rows per chunk scale as budget // n, fixed given n
 
 
 class DegenerateVarianceError(ValueError):
@@ -71,7 +70,7 @@ def sample_tree(n: int, seed) -> CayleyTree:
 
 
 def _chunk_layout(n: int, samples: int) -> list[int]:
-    rows = max(1, _CHUNK_CELLS // max(n, 1))
+    rows = max(1, MC_N_BOUND // max(n, 1))  # fixed given n
     sizes = []
     left = samples
     while left > 0:

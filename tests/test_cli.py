@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import cayley_runs
 from cayley_runs.cli import run_cli
 
-from conftest import FIG_MAPPING, FIG_RUN_STARTS, FIG_TREE_PARENT
+from conftest import (FIG_MAPPING, FIG_PARTITION_BLOCKS, FIG_PARTITION_LINKS, FIG_RUN_STARTS,
+                      FIG_TREE_PARENT)
 
 
 @pytest.fixture
@@ -344,14 +345,18 @@ def test_negative_config_seed_is_a_usage_error(capsys, tmp_path):
     assert captured.err == "error: rng_seed=-1 must be non-negative\n"
 
 
+def _package_env() -> dict:
+    """The environment with the tested package's directory first on PYTHONPATH."""
+    src = str(Path(cayley_runs.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _assert_script_rejects(script, argv, flag, value, least=1):
     """scripts/<script> with argv exits 2 with argparse's message that flag's value is below least."""
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(cayley_runs.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, str(root / "scripts" / script), *argv],
-                         env=env, capture_output=True, text=True, timeout=120)
+                         env=_package_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stdout == ""
     assert f"argument {flag}: must be at least {least}, not {value}" in out.stderr
@@ -543,3 +548,47 @@ def test_any_input_file_ends_in_exit_0_or_a_usage_error(tmp_path_factory, argv):
             assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
     check()
+
+
+_START_SCRIPT = """
+import contextlib, io, sys
+import cayley_runs, cayley_runs.cli
+from cayley_runs.cli import run_cli
+
+tree, mapping, partition = sys.argv[1:]
+def codes(*argvs):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return [run_cli(list(argv)) for argv in argvs]
+arrays = {"numpy", "multiprocessing"}
+assert codes(
+    *(["table", "--kind", k, "--n", "7"] for k in ("tree", "mapping", "connected")),
+    ["series", "--which", "C", "--order", "6"],
+    ["verify-series", "--order", "6"],
+    ["asymptotics", "--constants"],
+    ["runs", "--input", mapping], ["runs", "--tree", "--input", tree],
+    ["phi", "--tree", tree, "--mark", "1"],
+    ["phi-inv", "--mapping", mapping],
+    ["partition", "encode", "--mapping", mapping],
+    ["partition", "decode", "--input", partition],
+    ["--help"],
+) == [0] * 13
+assert codes(["table", "--kind", "tree", "--n", "0"]) == [2]
+assert not arrays & set(sys.modules), arrays & set(sys.modules)
+assert codes(["mc", "--n", "5", "--samples", "3"], ["verify-all", "--n-max", "2"],
+             ["table", "--oracle", "--kind", "tree", "--n", "3"]) == [0, 0, 0]
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_commands_that_use_no_array_load_no_numpy(tmp_path, fig_files):
+    # a fresh interpreter: the pytest process itself has numpy loaded
+    tree, mapping = fig_files
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"blocks": [sorted(b) for b in FIG_PARTITION_BLOCKS],
+                                     "links": list(FIG_PARTITION_LINKS)}))
+    out = subprocess.run([sys.executable, "-c", _START_SCRIPT, str(tree), str(mapping),
+                          str(partition)], env=_package_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"

@@ -208,7 +208,7 @@ def test_every_array_is_classified_as_the_scalar_checks_say(n):
         want.append(run_starts_mapping(m).count + (n + 1) * (conn + tree))
     for p in range(1, n + 1):
         prefixes = np.array(list(itertools.product(range(1, n + 1), repeat=p)))
-        got = exact._classes(exact._suffix_tables(n, p), prefixes)
+        got = kernels._classes(kernels._suffix_tables(n, p), prefixes)
         assert got.reshape(-1).tolist() == want, p
 
 
@@ -248,9 +248,9 @@ def _tally_blocks_reference(n, prefixes):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_brute_force_tables_match_the_per_block_scan(n):
-    prefixes = list(itertools.product(range(1, n + 1), repeat=n - exact._FREE_ENTRIES))
+    prefixes = list(itertools.product(range(1, n + 1), repeat=n - kernels._FREE_ENTRIES))
     want = _tally_blocks_reference(n, prefixes)
-    assert np.array_equal(exact._tally_blocks(n, prefixes), want)
+    assert np.array_equal(kernels._tally_blocks(n, prefixes), want)
     tables = brute_force_tables(n, max_size=8)
     assert [t.values for t in tables] == [
         {m: int(c) for m, c in enumerate(row) if c} for row in want]

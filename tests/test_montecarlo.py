@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -151,3 +152,25 @@ def test_input_validation():
         run_statistics(3, 0, seed=1)
     with pytest.raises(ValueError):
         sample_mapping(0, 1)
+
+
+
+def test_the_package_resolves_montecarlo_and_kernels_on_access():
+    import cayley_runs
+    from cayley_runs import (DegenerateVarianceError, NormalityReport, RunStatistics, kernels,
+                             montecarlo, normality_check, run_statistics, sample_mapping,
+                             sample_tree)
+
+    assert cayley_runs.kernels is sys.modules["cayley_runs.kernels"] is kernels
+    assert cayley_runs.montecarlo is sys.modules["cayley_runs.montecarlo"] is montecarlo
+    imported = {"DegenerateVarianceError": DegenerateVarianceError,
+                "NormalityReport": NormalityReport, "RunStatistics": RunStatistics,
+                "normality_check": normality_check, "run_statistics": run_statistics,
+                "sample_mapping": sample_mapping, "sample_tree": sample_tree}
+    for name, obj in imported.items():
+        assert getattr(cayley_runs, name) is obj is getattr(montecarlo, name), name
+        # looked up in montecarlo on each access, so a patch there shows here
+        assert name not in vars(cayley_runs), name
+        assert name in dir(cayley_runs), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cayley_runs.no_such_name
