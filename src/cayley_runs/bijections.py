@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CayleyTree, LabelOutOfRangeError, Mapping, _cycles, make_mapping, make_tree
+from .core import CayleyTree, LabelOutOfRangeError, Mapping, _cycles, make_tree
 from .exact import DEFAULT_EXHAUSTIVE_BOUND, SizeTooLargeError
 from .runs import _smaller_preimage
 
@@ -82,6 +82,10 @@ def tree_to_mapping(mt: MarkedTree) -> Mapping:
     right-to-left maxima close cycles instead: the first one maps to the
     mark, each later one to the parent of the previous maximum.  The
     path nodes become exactly the cyclic nodes of the result.
+
+    Every image entry is a parent label of the valid tree or the mark,
+    which ``MarkedTree`` has checked, so the Mapping is built directly
+    rather than validated again by ``make_mapping``.
     """
     t = mt.tree
     rp = root_path(t, mt.mark)
@@ -90,7 +94,7 @@ def tree_to_mapping(mt: MarkedTree) -> Mapping:
     image[nodes[idxs[0]] - 1] = nodes[0]
     for ell in range(1, len(idxs)):
         image[nodes[idxs[ell]] - 1] = t.parent[nodes[idxs[ell - 1]] - 1]
-    return make_mapping(image)
+    return Mapping(n=t.n, image=tuple(image))
 
 
 def mapping_to_tree(m: Mapping) -> MarkedTree:

@@ -19,15 +19,13 @@ which ``_width`` guarantees for a bound on them.
 Two width rules apply.
 
 * The solvers hold every row packed at one width per call,
-  w = _width(N^N), and unpack only the rows they return.  The
-  homomorphism also commutes with their exact divisions, which divide
-  coefficientwise: p = c q in Z[v] gives p(2^w) = c q(2^w).  So only the
+  w = _width(N^N), and unpack only the rows they return.  So only the
   returned rows must fit, and each has nonnegative coefficients summing
   to at most n^n <= N^N: trees sum to n^(n-1), A at v = 1 is the tree
   function, mappings sum to n^n and connected mappings to at most n^n.
-  The exponentials in the auxiliary and tree sweeps are never unpacked,
-  so their sizes do not matter; the other sweeps hold returned rows only.
-  Each solver is a sweep over packed rows run by ``_solved``.
+  The signed Horner intermediates of A's and F's closed forms are never
+  unpacked, so their sizes do not matter; the other sweeps hold returned
+  rows only.  Each solver is a sweep over packed rows run by ``_solved``.
 * The checks' product and exponential pack each output row k at its own
   width, from the operands' 1-norms: every coefficient of row k of AB
   is at most sum_j C(k, j) |a_j|_1 |b_(k-j)|_1 in absolute value.  Row k
@@ -38,24 +36,28 @@ Two width rules apply.
   that neighbouring rows share their operands' packs; one width for a
   whole product would pad every low row to the size of the top one.
 
-The solvers never iterate to a fixed point.  They compute each
-coefficient once, in increasing n, from lower ones by binomial
-convolutions (online evaluation of the functional equation), and return
-their integer rows as a BivariateSeries.  The identity checks use the
-BivariateSeries arithmetic, whose EGF product and exponential are coded
-apart from the solvers' helpers, with their own width rule: a second,
-independent implementation that shares only the codec.
+The solvers never iterate to a fixed point.  A and F are Lagrange
+inversion closed forms, each row a sum over k of integer weights times
+v^k (1 - v)^(n-k); R and C compute each coefficient once, in increasing
+n, from lower ones by binomial convolutions over T read off A (online
+evaluation of the functional equation).  All return their integer rows
+as a BivariateSeries.  The identity checks use the BivariateSeries
+arithmetic, whose EGF product and exponential are coded apart from the
+solvers' helpers, with their own width rule: a second, independent
+implementation that shares only the codec.
 
 The four generating functions handled here, with counts recovered as
 n! [z^n v^m]:
 
 * auxiliary_series   solves  A = z (v e^A + 1 - v),
 * tree_series        solves  dF/dz = (e^F - 1 + v) / (1 - z (e^F - 1 + v)),
-  so n! [z^n v^m] counts size-n trees with m ascending runs,
+  so n! [z^n v^m] counts size-n trees with m ascending runs; as
+  e^F = v e^A + 1 - v, F is a function of A, and both come from one
+  Lagrange inversion step per coefficient,
 * mapping_series     is  1 / (1 - z v e^A),  counting mappings by runs,
 * connected_series   is  ln 1 / (1 - z v e^A),  counting connected mappings by
   runs: the paper's ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) reduced.
-  Both read T = z v e^A = A - (1 - v) z off A, so only A's sweep computes
+  Both read T = z v e^A = A - (1 - v) z off A, so no solver computes
   e^A, and exp(C) = R holds for any A.
 """
 
@@ -299,77 +301,58 @@ def _binomial_conv(k: int, a: list[int], b: list[int], js: range) -> int:
     return sum(math.comb(k, j) * a[j] * b[k - j] for j in js)
 
 
-def _exp_next(a: list[int], e: list[int]) -> int:
-    """e_k for k = len(e), from E' = S' E: sum_{j=1..k} C(k-1, j-1) a_j e_{k-j}."""
-    k = len(e)
-    return _binomial_conv(k - 1, a[1:], e, range(k))
+def _lagrange_series(order: int, weight) -> BivariateSeries:
+    """The series with row 0 zero and row n >= 1 sum_{k=0..n} weight(n, k) v^k (1 - v)^(n-k).
 
-
-def _square(e: list[int], m: int) -> int:
-    """m! [z^m] E^2 for packed rows e of an EGF E: sum_{i<=m} C(m, i) e_i e_{m-i}.
-
-    The terms i and m-i are equal, so each pair of them is one product.
+    Homogeneous Horner in (v, 1 - v): h <- (1 - v) h + c_k v^k for
+    k = 0..n, which at v = 2^w is one shift, one subtraction and one
+    addition per step.  Packing is a ring homomorphism, so the signed
+    intermediates are never unpacked: only the returned rows must fit the
+    solver width (module docstring).
     """
-    s = 2 * sum(math.comb(m, i) * e[i] * e[m - i] for i in range((m + 1) // 2))
-    if m % 2 == 0:
-        s += math.comb(m, m // 2) * e[m // 2] ** 2
-    return s
-
-
-def _aux_exp_next(e: list[int], v: int) -> int:
-    """e_k for k = len(e) of e^A, A the auxiliary series, packed at v.
-
-    e_k = (1 - v) e_{k-1} + v (k+1)/2 S with S = (k-1)! [z^(k-1)] (e^A)^2,
-    where (k+1) S is even: S is a sum of pairs of equal terms when k is even.
-    """
-    m = len(e) - 1
-    return e[m] + v * ((m + 2) * _square(e, m) // 2 - e[m])
+    def sweep(v, _):
+        w = v.bit_length() - 1
+        rows = [0]
+        for n in range(1, order + 1):
+            h = 0
+            for k in range(n + 1):
+                h += (weight(n, k) << k * w) - (h << w)
+            rows.append(h)
+        return rows
+    return _solved(order, sweep)
 
 
 def auxiliary_series(order: int) -> BivariateSeries:
-    """Unique zero-at-origin solution of A = z (v e^A + 1 - v).
+    """Unique zero-at-origin solution of A = z (v e^A + 1 - v), by Lagrange inversion.
 
-    With a_n = n! [z^n] A and e_n = n! [z^n] e^A, the equation reads
-    a_1 = 1 and a_n = n v e_{n-1} for n >= 2, while E' = A' E gives
-    e_k = sum_{j=1..k} C(k-1, j-1) a_j e_{k-j}.  Put in a_j, writing the
-    j = 1 term e_{k-1} as (1 - v) e_{k-1} + v e_{k-1}: the sum becomes
-    (1 - v) e_{k-1} + v sum_{i<k} C(k-1, i) (i+1) e_i e_{k-1-i}, whose
-    terms i and k-1-i have weights adding up to (k+1) C(k-1, i), so
-    e_k = (1 - v) e_{k-1} + v (k+1)/2 sum_{i<k} C(k-1, i) e_i e_{k-1-i}.
-    One sweep in n alternates a_n and e_{n-1}.
+    A = z phi(A) with phi(u) = v e^u + 1 - v, so Lagrange-Buermann,
+    n [z^n] H(A) = [u^(n-1)] H'(u) phi(u)^n (Flajolet and Sedgewick,
+    Analytic Combinatorics, Thm A.2), gives with H(u) = u
+    n [z^n] A = [u^(n-1)] phi(u)^n.  Expanding
+    phi(u)^n = sum_k C(n, k) v^k (1 - v)^(n-k) e^(ku), whose [u^(n-1)] has
+    the factor k^(n-1) / (n-1)!, this is
+    n! [z^n] A = sum_{k=0..n} C(n, k) k^(n-1) v^k (1 - v)^(n-k),
+    with 0^0 = 1, so that a_1 = 1.
     """
-    def sweep(v, _):
-        a = [0, 1][: order + 1]
-        e = [1]
-        for n in range(2, order + 1):
-            e.append(_aux_exp_next(e, v))
-            a.append(n * v * e[n - 1])
-        return a
-    return _solved(order, sweep)
+    return _lagrange_series(order, lambda n, k: math.comb(n, k) * k ** (n - 1))
 
 
 def tree_series(order: int) -> BivariateSeries:
     """Run-marked tree series: n! [z^n v^m] counts size-n trees with m runs.
 
-    Solved through its z derivative, which is rational in the series
-    itself: dF/dz = g / (1 - z g) with g = e^F - 1 + v, i.e.
-    F_z = g + z g F_z.  Here z g F_z = z (e^F)_z - (1 - v) z F_z, and
-    k! [z^k] z H' = k h_k, so with f_n = n! [z^n] F and e_k = k! [z^k] e^F
-    (which is g_k for k >= 1) this is
-    f_{k+1} = (k+1) e_k - k (1 - v) f_k,
-    while e_k = sum_{j=1..k} C(k-1, j-1) f_j e_{k-j} needs only f_1..f_k:
-    one sweep in k with one convolution per step settles F.
+    F solves dF/dz = g / (1 - z g) with g = e^F - 1 + v, and e^F = phi(A)
+    for the auxiliary series A = z phi(A), phi(u) = v e^u + 1 - v (the
+    identity ``check_aux_tree_relation`` tests).  So F = H(A) with
+    H = ln phi, and H' phi^n = phi' phi^(n-1) = (phi^n)' / n, so
+    Lagrange-Buermann as in ``auxiliary_series`` gives
+    n [z^n] F = [u^(n-1)] (phi(u)^n)' / n = [u^n] phi(u)^n.  Expanding
+    phi(u)^n as there, with [u^n] e^(ku) = k^n / n!,
+    n! [z^n] F = sum_{k=1..n} C(n, k) k^n / n v^k (1 - v)^(n-k),
+    where C(n, k) k^n / n = C(n-1, k-1) k^(n-1) is an integer.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    def sweep(v, _):
-        f = [0, v]
-        e = [1]
-        for k in range(1, order):
-            e.append(_exp_next(f, e))
-            f.append((k + 1) * e[k] - k * (1 - v) * f[k])
-        return f
-    return _solved(order, sweep)
+    return _lagrange_series(order, lambda n, k: math.comb(n, k) * k ** n // n)
 
 
 def mapping_series(order: int) -> BivariateSeries:

@@ -24,8 +24,10 @@ from cayley_runs import (
     root_path,
     run_starts_mapping,
     run_starts_tree,
+    sample_mapping,
     tree_to_mapping,
 )
+from cayley_runs import core
 
 from conftest import (
     FIG_MAPPING,
@@ -95,6 +97,19 @@ def test_phi_inverse_hand_traced():
     assert mapping_to_tree(make_mapping([1])) == MarkedTree(make_tree([1]), 1)
     mt = mapping_to_tree(make_mapping([2, 1]))
     assert mt.tree.parent == (2, 2) and mt.mark == 1
+
+
+def test_tree_to_mapping_validates_nothing_again(monkeypatch):
+    # the image is built from a valid tree and a checked mark, so no label check may run
+    expected = [make_mapping(FIG_MAPPING), *(sample_mapping(1000, seed) for seed in range(5))]
+    trees = [MarkedTree(make_tree(FIG_TREE_PARENT), FIG_MARK),
+             *(mapping_to_tree(m) for m in expected[1:])]
+
+    def unusable(*args):
+        raise AssertionError("tree_to_mapping validated its image again")
+
+    monkeypatch.setattr(core, "_check_labels", unusable)
+    assert [tree_to_mapping(mt) for mt in trees] == expected
 
 
 def test_mark_validation():

@@ -456,6 +456,14 @@ def test_bad_config_is_a_usage_error(capsys, tmp_path, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_config_cannot_override_the_mc_tolerances(capsys, tmp_path):
+    # the Monte Carlo tolerances are pre-registered constants, not config keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mc_tolerances": {"ks": 0.5}}))
+    assert run_cli(["--config", str(cfg), "series", "--which", "H", "--order", "2"]) == 2
+    assert capsys.readouterr().err == "error: unknown config key(s): mc_tolerances\n"
+
+
 @pytest.mark.parametrize("text, tree", [
     ('{"image": [true]}', False), ('{"parent": [true]}', True), ("true", False), ("true", True),
     ('{"image": 5}', False), ('{"parent": null}', True), ('{"image": [1], "n": true}', False),

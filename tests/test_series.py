@@ -18,6 +18,7 @@ from cayley_runs import (
     pde_residual,
     series_count_table,
     tree_runs,
+    tree_run_table,
     tree_runs_alternating,
     tree_series,
 )
@@ -101,6 +102,16 @@ def test_auxiliary_series_matches_lagrange_inversion():
             for i in range(n - k + 1):  # (1 - v)^(n-k)
                 expected[k + i] += c * math.comb(n - k, i) * (-1) ** i
         assert [h.count(n, m) for m in range(n + 1)] == expected
+
+
+def test_auxiliary_series_solves_its_equation():
+    # A = z (v e^A + 1 - v) in the series class's own arithmetic, which shares no
+    # code with the Lagrange closed form but the codec; at order 60 the top rows
+    # come within a few bits of the packing width
+    for order in (*range(31), 60):
+        a = auxiliary_series(order)
+        z, v, one = BivariateSeries.z(order), BivariateSeries.v(order), BivariateSeries.one(order)
+        assert a == z * (v * a.exp() + one - v), order
 
 
 def test_tree_series_counts():
@@ -192,27 +203,49 @@ def _plain_conv(k, a, b, js):
 
 def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
     # the identity checks run on BivariateSeries arithmetic, not on the solvers'
-    # helpers, so a fault in those helpers must fail every check
+    # helpers, so a fault in those helpers must fail the checks of what it computes
     assert run_cli(["verify-series", "--order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS ") == 4
     f = tree_series(8)
     monkeypatch.setattr(series, "_binomial_conv", _plain_conv)
     assert run_cli(["verify-series", "--order", "8"]) == 1
-    assert capsys.readouterr().out.count("FAIL ") == 4
+    assert capsys.readouterr().out == (
+        "PASS pde-residual-zero\n"
+        "FAIL mapping-equals-1-plus-z-dF\n"
+        "PASS aux-tree-relation\n"
+        "FAIL exp-connected-equals-mapping\n")
 
     def unusable(*args):
         raise AssertionError("the series arithmetic called a solver helper")
 
-    for name in ("_binomial_conv", "_exp_next", "_aux_exp_next", "_square"):
+    for name in ("_binomial_conv", "_lagrange_series"):
         monkeypatch.setattr(series, name, unusable)
     assert pde_residual(f).is_zero()
 
 
+@pytest.mark.parametrize("mutant, lines", [
+    # F summed with A's weights C(n, k) k^(n-1): F = A, which breaks every check of F
+    (lambda n, k: math.comb(n, k) * k ** (n - 1), ("FAIL", "FAIL", "FAIL", "PASS")),
+    # A's and F's weights with k^n in place of k^(n-1) and k^n / n
+    (lambda n, k: math.comb(n, k) * k ** n, ("FAIL", "FAIL", "FAIL", "FAIL")),
+], ids=["F-with-A-weights", "k-to-the-n"])
+def test_the_checks_see_a_wrong_lagrange_weight(capsys, monkeypatch, mutant, lines):
+    lagrange = series._lagrange_series
+    monkeypatch.setattr(series, "_lagrange_series", lambda order, weight: lagrange(order, mutant))
+    assert run_cli(["verify-series", "--order", "8"]) == 1
+    names = ("pde-residual-zero", "mapping-equals-1-plus-z-dF", "aux-tree-relation",
+             "exp-connected-equals-mapping")
+    assert capsys.readouterr().out == "".join(f"{x} {name}\n" for x, name in zip(lines, names))
+
+
 def _exp_of(a, order):
-    """Packed rows of e^S up to z^order from the packed rows a of S, one _exp_next step per order."""
+    """Packed rows of e^S up to z^order from the packed rows a of S.
+
+    From E' = S' E: e_k = sum_{j=1..k} C(k-1, j-1) s_j e_{k-j}.
+    """
     e = [1]
-    while len(e) <= order:
-        e.append(series._exp_next(a, e))
+    for k in range(1, order + 1):
+        e.append(series._binomial_conv(k - 1, a[1:], e, range(k)))
     return e
 
 
@@ -257,35 +290,6 @@ def test_solvers_match_the_exponential_reference():
     for order in (*range(31), 60):
         assert mapping_series(order) == _reference_mapping_series(order)
         assert connected_series(order) == _reference_connected_series(order)
-
-
-def test_exponential_steps_run_only_in_the_auxiliary_sweep(monkeypatch):
-    aux_exp_next, aux = series._aux_exp_next, series.auxiliary_series
-    depth = [0]
-    calls = {"inside": 0, "outside": 0}
-
-    def counted_exp_next(e, v):
-        calls["inside" if depth[0] else "outside"] += 1
-        return aux_exp_next(e, v)
-
-    def unusable(*args):
-        raise AssertionError("a solver took a general exponential step")
-
-    def traced_aux(order):
-        depth[0] += 1
-        try:
-            return aux(order)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(series, "_aux_exp_next", counted_exp_next)
-    monkeypatch.setattr(series, "_exp_next", unusable)
-    monkeypatch.setattr(series, "auxiliary_series", traced_aux)
-    for order in (1, 2, 14, 30):
-        for solver in (mapping_series, connected_series):
-            calls.update(inside=0, outside=0)
-            solver(order)
-            assert calls == {"inside": order - 1, "outside": 0}, (solver.__name__, order)
 
 
 def test_a_wrong_auxiliary_series_fails_checks_2_and_3(capsys, monkeypatch):
@@ -390,11 +394,14 @@ def test_solvers_at_orders_near_the_width_match_closed_forms():
         top = mapping_series(order).egf[order]
         assert top == (0, *(mapping_runs(order, m) for m in range(1, order + 1)))
         assert series._solver_width(order) - 1 - max(top).bit_length() <= 3
-    f, c = tree_series(60), connected_series(60)  # A's rows: the Lagrange test above
+    c = connected_series(60)  # A's rows: the Lagrange and equation tests above
     for n in orders:
-        assert f.egf[n] == (0, *(tree_runs(n, m) for m in range(1, n + 1)))
         assert sum(c.egf[n]) == sum(math.factorial(n - 1) // math.factorial(k) * n ** k
                                     for k in range(n))
+    f = tree_series(100)  # the series bound
+    for n in range(1, 101):
+        values = tree_run_table(n).values
+        assert f.egf[n] == (0, *(values.get(m, 0) for m in range(1, n + 1))), n
 
 
 def test_a_narrower_width_is_seen(monkeypatch):
