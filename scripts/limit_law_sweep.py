@@ -13,6 +13,7 @@ import math
 from cayley_runs import clt_constants, normality_check, run_statistics
 from cayley_runs.asymptotics import MEAN_SLOPE, VARIANCE_SLOPE
 from cayley_runs.cli import AtLeastOne, AtLeastZero
+from cayley_runs.config import check_mc_bounds
 
 
 def main() -> None:
@@ -23,6 +24,11 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1729, action=AtLeastZero)
     ap.add_argument("--workers", type=int, default=2, action=AtLeastOne)
     args = ap.parse_args()
+    for n in args.sizes:  # mc's bounds, before anything is drawn
+        try:
+            check_mc_bounds(n, args.samples)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     constants = clt_constants()
     print(f"limit slopes: mean {MEAN_SLOPE:.10f}, variance {VARIANCE_SLOPE:.10f}")

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import asymptotics, bijections, core, exact, runs, series
-from .config import MC_CELLS_BOUND, MC_N_BOUND, SERIES_BOUND, TABLE_BOUND, Config, load_config
+from .config import SERIES_BOUND, TABLE_BOUND, Config, check_mc_bounds, load_config
 
 
 def _read(path: str) -> str:
@@ -226,12 +226,7 @@ def _cmd_asymptotics(args, _cfg: Config) -> int:
 
 
 def _cmd_mc(args, cfg: Config) -> int:
-    # checked before anything is drawn or laid out
-    if args.n > MC_N_BOUND:
-        raise ValueError(f"n={args.n} exceeds mc bound {MC_N_BOUND}")
-    if args.n * args.samples > MC_CELLS_BOUND:
-        raise ValueError(f"n x samples={args.n * args.samples} exceeds mc cell bound "
-                         f"{MC_CELLS_BOUND}")
+    check_mc_bounds(args.n, args.samples)  # before anything is drawn or laid out
     from . import montecarlo
 
     seed = args.seed if args.seed is not None else cfg.rng_seed

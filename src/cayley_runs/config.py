@@ -20,13 +20,22 @@ SERIES_BOUND = 100
 # the table takes about 0.35 s as a process on the same machine, and from
 # about n = 1,340 its counts pass CPython's 4,300-digit limit on printing an int
 TABLE_BOUND = 1000
-# the cells in one Monte Carlo chunk of MC_N_BOUND // n rows, and the largest n mc
-# accepts, so that a chunk holds at most 2^21 int64 draws (16 MiB) and at least a row
+# the largest n mc accepts, and the cells in one Monte Carlo chunk of MC_N_BOUND // n
+# rows: a chunk is drawn in blocks of at most 2^16 cells, or one row when n is larger,
+# so this bounds one row of draws (16 MiB of int64), not the chunk
 MC_N_BOUND = 1 << 21
 # the most cells, n x samples, mc accepts: on one worker of the same machine
 # mappings take about 12 ns a cell, so 10^10 cells take about 2 minutes, and
 # trees (--trees) about 740 ns a cell
 MC_CELLS_BOUND = 10 ** 10
+
+
+def check_mc_bounds(n: int, samples: int) -> None:
+    """Raise ValueError when mc's n passes MC_N_BOUND or n x samples MC_CELLS_BOUND."""
+    if n > MC_N_BOUND:
+        raise ValueError(f"n={n} exceeds mc bound {MC_N_BOUND}")
+    if n * samples > MC_CELLS_BOUND:
+        raise ValueError(f"n x samples={n * samples} exceeds mc cell bound {MC_CELLS_BOUND}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ are the run-partition bijection, a partition given as each label's
 block index.
 ``run_counts`` scatters in row blocks of at most ``_BLOCK_CELLS`` cells,
 so its temporaries stay in cache and its memory does not grow with the
-rows.  ``pooled_sum`` spreads such batched work over worker processes,
+rows; ``block_rows`` is that rule, and the Monte Carlo sampler draws by
+it too.  ``pooled_sum`` spreads such batched work over worker processes,
 and ``pool_size`` says how many it starts.
 
 The brute-force oracle's array engine lives here too: ``_tally_blocks``
@@ -37,7 +38,7 @@ import os
 
 import numpy as np
 
-_BLOCK_CELLS = 1 << 16  # cells per run_counts scatter block: its index array is 512 KiB
+_BLOCK_CELLS = 1 << 16  # cells per block_rows block: an int64 block is 512 KiB
 # The brute-force oracle's suffix is the last 4 entries: each job tabulates its n^4
 # values, 2,401 at n = 7, and the prefixes before it are dealt to the jobs.
 _FREE_ENTRIES = 4
@@ -78,17 +79,24 @@ def _smaller_preimage_marks(block: np.ndarray) -> np.ndarray:
     return marked.reshape(k, n + 1)[:, 1:]
 
 
+def block_rows(rows: int, n: int) -> int:
+    """Rows in one block of at most ``_BLOCK_CELLS`` cells, or one row when n exceeds it.
+
+    The block size is a constant, not an option: it changes the speed
+    and the memory, never the result.
+    """
+    return max(1, min(rows, _BLOCK_CELLS // max(n, 1)))
+
+
 def run_counts(images: np.ndarray) -> np.ndarray:
     """Run count of each row: n minus the nodes j that some column i < j maps to.
 
-    ``_smaller_preimage_marks`` scatters one block of rows at a time.  A
-    block holds at most ``_BLOCK_CELLS`` cells (one row when n exceeds
-    it), so the int64 index array and the bool array stay in cache
-    however many rows come in.  The block size is a constant, not an
-    option: it changes the speed, never the result.
+    ``_smaller_preimage_marks`` scatters one ``block_rows`` block at a
+    time, so the int64 index array and the bool array stay in cache
+    however many rows come in.
     """
     rows, n = images.shape
-    step = max(1, min(rows, _BLOCK_CELLS // max(n, 1)))
+    step = block_rows(rows, n)
     counts = np.empty(rows, dtype=np.intp)
     for start in range(0, rows, step):
         block = images[start:start + step]

@@ -6,12 +6,21 @@ from the root seed, so a run is bit-identical for any worker count:
 histograms are integer tallies merged by addition, and the moments are
 derived from exact integer sums over the merged histogram.
 
+A chunk is drawn and counted one block of ``kernels.block_rows`` rows
+at a time, at most 2^16 cells (one row when n exceeds that), and the
+blocks' histograms are added up, so a chunk's draws never sit in
+memory whole.  The chunk's values are unchanged by the split:
+consecutive ``Generator.integers`` calls on one PCG64 stream continue
+it, because a bound below 2^32 draws 32-bit halves whose spare half
+the bit generator itself keeps between calls.
+
 Trees are drawn by pulling a uniform mapping back through the
 tree-mapping bijection and discarding the mark; each tree arises from
 exactly n marked pairs, so the result is uniform.  This deliberately
-exercises the scalar bijection, row by row, in the sampling hot path.
-Every chunk is counted by ``kernels.run_counts``: a root's self-loop is
-never an ascent, so parent arrays count like image arrays.
+exercises the scalar bijection, row by row within each block, in the
+sampling hot path.  Every block is counted by ``kernels.run_counts``:
+a root's self-loop is never an ascent, so parent arrays count like
+image arrays.
 """
 
 from __future__ import annotations
@@ -81,13 +90,17 @@ def _chunk_layout(n: int, samples: int) -> list[int]:
 
 
 def _chunk_histogram(n: int, rows: int, seed_seq, use_trees: bool) -> np.ndarray:
+    """One chunk's run-count histogram, drawn and counted by ``kernels.block_rows`` blocks."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    arr = rng.integers(1, n + 1, size=(rows, n))
-    if use_trees:
-        # row by row: a whole chunk as Python ints would hold tens of MiB at n = 1000
-        for row in arr:
-            row[:] = mapping_to_tree(make_mapping(row.tolist())).tree.parent
-    return np.bincount(kernels.run_counts(arr), minlength=n + 1)
+    hist = np.zeros(n + 1, dtype=np.intp)
+    step = kernels.block_rows(rows, n)
+    for start in range(0, rows, step):
+        block = rng.integers(1, n + 1, size=(min(step, rows - start), n))
+        if use_trees:
+            for row in block:
+                row[:] = mapping_to_tree(make_mapping(row.tolist())).tree.parent
+        hist += np.bincount(kernels.run_counts(block), minlength=n + 1)
+    return hist
 
 
 def run_statistics(

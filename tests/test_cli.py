@@ -352,14 +352,14 @@ def _package_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _assert_script_rejects(script, argv, flag, value, least=1):
-    """scripts/<script> with argv exits 2 with argparse's message that flag's value is below least."""
+def _assert_script_rejects(script, argv, message):
+    """scripts/<script> with argv prints nothing and exits 2 with a usage message naming message."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, str(root / "scripts" / script), *argv],
                          env=_package_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stdout == ""
-    assert f"argument {flag}: must be at least {least}, not {value}" in out.stderr
+    assert message in out.stderr
     assert out.stderr.startswith("usage: ")
     assert "Traceback" not in out.stderr
 
@@ -367,7 +367,8 @@ def _assert_script_rejects(script, argv, flag, value, least=1):
 @pytest.mark.parametrize("flag, value", [("--n-max", "0"), ("--n-max", "-3"), ("--workers", "0")])
 def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
     # it used to compare no table at all and still print that all of them match
-    _assert_script_rejects("exhaustive_tables.py", [flag, value], flag, value)
+    _assert_script_rejects("exhaustive_tables.py", [flag, value],
+                           f"argument {flag}: must be at least 1, not {value}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -375,12 +376,25 @@ def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
 ])
 def test_limit_law_sweep_rejects_counts_below_one(argv):
     # --workers 0 ran on one worker, and --samples 0 ended in a traceback
-    _assert_script_rejects("limit_law_sweep.py", argv, argv[0], argv[-1])
+    _assert_script_rejects("limit_law_sweep.py", argv,
+                           f"argument {argv[0]}: must be at least 1, not {argv[-1]}")
 
 
 def test_limit_law_sweep_rejects_a_negative_seed():
     # it used to end in numpy's traceback
-    _assert_script_rejects("limit_law_sweep.py", ["--seed", "-1"], "--seed", "-1", least=0)
+    _assert_script_rejects("limit_law_sweep.py", ["--seed", "-1"],
+                           "argument --seed: must be at least 0, not -1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "10", str(_MC_N + 1), "--samples", "1"],
+     f"error: n={_MC_N + 1} exceeds mc bound {_MC_N}"),
+    (["--sizes", "1000", "--samples", str(_MC_CELLS // 1000 + 1)],
+     f"error: n x samples={_MC_CELLS + 1000} exceeds mc cell bound {_MC_CELLS}"),
+], ids=["n", "cells"])
+def test_limit_law_sweep_keeps_the_mc_bounds(argv, message):
+    # it used to sweep an n that mc refuses with exit 2
+    _assert_script_rejects("limit_law_sweep.py", argv, message)
 
 
 def test_verify_all_is_bounded(capsys):

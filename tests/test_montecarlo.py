@@ -1,9 +1,11 @@
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from test_kernels import _run_counts_reference
 
 from cayley_runs import (
     DegenerateVarianceError,
@@ -12,6 +14,7 @@ from cayley_runs import (
     make_mapping,
     mapping_runs,
     mapping_to_tree,
+    montecarlo,
     normality_check,
     run_starts_tree,
     run_statistics,
@@ -88,6 +91,32 @@ def test_seeded_histogram_is_pinned():
     assert run_statistics(30, 70_000, seed=5).histogram == {
         12: 2, 13: 20, 14: 168, 15: 897, 16: 3041, 17: 7321, 18: 12968, 19: 16021,
         20: 14569, 21: 9264, 22: 4116, 23: 1264, 24: 295, 25: 49, 26: 5}
+
+
+# one row; 21,845-row blocks of 65,535 cells, so a block can end on a spare 32-bit half;
+# two chunks of ragged 64,935-cell blocks; one row per block over two chunks of 29 + 11 rows
+@pytest.mark.parametrize("n, samples", [(1, 100), (3, 50_001), (999, 3000), (70_000, 40)])
+def test_blocked_sampler_equals_the_one_shot_chunk_draw(n, samples):
+    sizes = montecarlo._chunk_layout(n, samples)
+    expected = np.zeros(n + 1, dtype=np.int64)
+    for rows, stream in zip(sizes, np.random.SeedSequence(n).spawn(len(sizes))):
+        chunk = np.random.Generator(np.random.PCG64(stream)).integers(1, n + 1, size=(rows, n))
+        expected += np.bincount(_run_counts_reference(chunk), minlength=n + 1)
+    support = np.nonzero(expected)[0]
+    assert run_statistics(n, samples, n).histogram == {int(m): int(expected[m]) for m in support}
+
+
+@pytest.mark.parametrize("rows, use_trees", [(2097, False), (400, True)])
+def test_chunk_memory_stays_small(rows, use_trees):
+    (stream,) = np.random.SeedSequence(1).spawn(1)
+    tracemalloc.start()
+    try:
+        montecarlo._chunk_histogram(1000, rows, stream, use_trees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # drawn whole, the chunk peaked at 16.6 MiB for mappings and 3.2-3.7 MiB for trees
+    assert peak < 2 << 20
 
 
 def test_run_statistics_mean_small_n():
