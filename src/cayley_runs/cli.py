@@ -6,11 +6,17 @@ subcommands), 1 check failure, 2 usage errors.  numpy, ``kernels`` and
 ``montecarlo`` are imported only by ``mc`` and the ``verify-all``
 helpers (``table --oracle`` loads them through ``exact``), so every
 other command starts without numpy.
+
+The argument parser is built once per process and reused by every
+``run_cli`` call: ``parse_args`` makes a fresh namespace each time, the
+count actions only set attributes on it, and no default is mutable, so
+a call sees nothing of the calls before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,6 +45,7 @@ class AtLeastZero(AtLeastOne):
     least = 0  # a seed flag: a negative value is a usage error
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cayley-runs",

@@ -25,8 +25,8 @@ TABLE_BOUND = 1000
 # so this bounds one row of draws (16 MiB of int64), not the chunk
 MC_N_BOUND = 1 << 21
 # the most cells, n x samples, mc accepts: on one worker of the same machine
-# mappings take about 12 ns a cell, so 10^10 cells take about 2 minutes, and
-# trees (--trees) about 740 ns a cell
+# mappings take about 8-11 ns a cell, so 10^10 cells take under 2 minutes, and
+# trees (--trees) about 360-420 ns a cell
 MC_CELLS_BOUND = 10 ** 10
 
 

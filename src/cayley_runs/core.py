@@ -117,30 +117,37 @@ def make_tree(parent) -> CayleyTree:
 def _cycles(image: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     """The cycles of the functional graph in walk order, and each node's basin.
 
-    One stamped walk from every unseen node, O(n) in total.  A walk that
-    meets itself finds a new cycle; basin[v] is the 1-based number of the
-    cycle v's walk ends on.  Each weak component holds exactly one cycle,
-    so the basins are the components, numbered by their smallest node.
+    One walk from every unseen node, O(n) in total, stamps each node it
+    reaches with the walk's number.  A walk that meets its own stamp has
+    found a new cycle, which is walked once from the meeting node; any
+    other walk ends on the cycle of the walk it ran into.  basin[v] is
+    the 1-based number of the cycle v's walk ends on.  Each weak
+    component holds exactly one cycle, so the basins are the
+    components, numbered by their smallest node.
     """
     n = len(image)
-    basin = [0] * (n + 1)  # 0 unseen, -1 on the current walk, k in the basin of cycle k
+    stamp = [0] * (n + 1)  # 0 unseen, else the number of the walk that reached the node
+    ends = [0]  # ends[w]: the 1-based number of the cycle walk w ends on
     cycles: list[list[int]] = []
     for s in range(1, n + 1):
-        if basin[s]:
+        if stamp[s]:
             continue
-        walk = []
+        w = len(ends)
         u = s
-        while basin[u] == 0:
-            basin[u] = -1
-            walk.append(u)
+        while not stamp[u]:
+            stamp[u] = w
             u = image[u - 1]
-        if basin[u] == -1:
-            cycles.append(walk[walk.index(u):])
-            basin[u] = len(cycles)
-        k = basin[u]
-        for x in walk:
-            basin[x] = k
-    return cycles, basin
+        if stamp[u] == w:
+            cycle = [u]
+            x = image[u - 1]
+            while x != u:
+                cycle.append(x)
+                x = image[x - 1]
+            cycles.append(cycle)
+            ends.append(len(cycles))
+        else:
+            ends.append(ends[stamp[u]])
+    return cycles, [ends[w] for w in stamp]
 
 
 def cyclic_nodes(m: Mapping) -> frozenset[int]:

@@ -98,7 +98,8 @@ def _chunk_histogram(n: int, rows: int, seed_seq, use_trees: bool) -> np.ndarray
         block = rng.integers(1, n + 1, size=(min(step, rows - start), n))
         if use_trees:
             for row in block:
-                row[:] = mapping_to_tree(make_mapping(row.tolist())).tree.parent
+                # draws lie in [1, n] by construction, so the Mapping skips make_mapping
+                row[:] = mapping_to_tree(Mapping(n, tuple(row.tolist()))).tree.parent
         hist += np.bincount(kernels.run_counts(block), minlength=n + 1)
     return hist
 

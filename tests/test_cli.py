@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayley_runs
-from cayley_runs.cli import run_cli
+from cayley_runs.cli import build_parser, run_cli
 
 from conftest import (FIG_MAPPING, FIG_PARTITION_BLOCKS, FIG_PARTITION_LINKS, FIG_RUN_STARTS,
                       FIG_TREE_PARENT)
@@ -523,6 +523,38 @@ def test_usage_errors(capsys):
     assert run_cli(["phi"]) == 2
     assert run_cli([]) == 2
     assert run_cli(["no-such-command"]) == 2
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_one_process_prints_what_separate_processes_print(capsys, tmp_path):
+    # every run_cli call reuses one parser, so no call may see anything of the calls before it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rng_seed": 77}))
+    mc = ["mc", "--n", "30", "--samples", "50"]
+    argvs = [
+        ["table", "--kind", "nonsense", "--n", "3"],
+        ["table", "--kind", "tree", "--n", "5"],
+        [*mc, "--seed", "5"],
+        mc,
+        ["--config", str(cfg), *mc],
+        mc,
+        ["--config", str(cfg), *mc, "--trees"],
+        [*mc, "--workers", "0"],
+        ["table", "--oracle", "--kind", "mapping", "--n", "4"],
+        ["table", "--kind", "mapping", "--n", "4"],
+        ["verify-series", "--order", "8"],
+    ]
+    in_process = [run(capsys, *argv) for argv in argvs]
+    processes = [subprocess.run([sys.executable, "-m", "cayley_runs.cli", *argv],
+                                env=_package_env(), capture_output=True, text=True, timeout=120)
+                 for argv in argvs]
+    assert in_process == [(p.returncode, p.stdout) for p in processes]
+    assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert [json.loads(in_process[i][1])["seed"] for i in (2, 3, 4, 5, 6)] == [5, 1729, 77, 1729, 77]
+    assert in_process[8][1] == in_process[9][1] != ""
 
 
 def test_missing_file_is_reported(capsys):

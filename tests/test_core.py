@@ -18,6 +18,7 @@ from cayley_runs import (
     make_tree,
     preimages,
 )
+from cayley_runs.core import _cycles
 
 from conftest import FIG_COMPONENTS, FIG_CYCLIC, FIG_MAPPING, FIG_TREE_PARENT, FIG_TREE_ROOT
 
@@ -91,6 +92,45 @@ def test_cyclic_nodes():
     assert cyclic_nodes(make_mapping([1, 2, 3])) == {1, 2, 3}
     assert cyclic_nodes(make_mapping([2, 2])) == {2}
     assert cyclic_nodes(make_mapping(FIG_MAPPING)) == FIG_CYCLIC
+
+
+def _cycles_by_orbits(image):
+    """``_cycles`` from each node's orbit alone: cycles in order of first reach, and the basins.
+
+    The first node to repeat on the orbit of s is where the orbit enters
+    its cycle; the first s to reach a cycle fixes its number and the
+    node it is listed from.
+    """
+    cycles, number, basin = [], {}, [0]
+    for s in range(1, len(image) + 1):
+        seen, u = set(), s
+        while u not in seen:
+            seen.add(u)
+            u = image[u - 1]
+        cycle = [u]
+        while image[cycle[-1] - 1] != u:
+            cycle.append(image[cycle[-1] - 1])
+        key = frozenset(cycle)
+        if key not in number:
+            number[key] = len(cycles) + 1
+            cycles.append(cycle)
+        basin.append(number[key])
+    return cycles, basin
+
+
+@given(mappings)
+def test_cycles_match_the_orbit_reference(m):
+    assert _cycles(m.image) == _cycles_by_orbits(m.image)
+
+
+@pytest.mark.parametrize("image, expected", [
+    ((1,), ([[1]], [0, 1])),
+    ((1, 2, 3, 4), ([[1], [2], [3], [4]], [0, 1, 2, 3, 4])),
+    ((2, 3, 4, 5, 1), ([[1, 2, 3, 4, 5]], [0, 1, 1, 1, 1, 1])),
+    ((5, 1, 2, 3, 4), ([[1, 5, 4, 3, 2]], [0, 1, 1, 1, 1, 1])),
+], ids=["n=1", "fixed-points", "n-cycle", "n-cycle-down"])
+def test_cycles_edge_cases(image, expected):
+    assert _cycles(image) == _cycles_by_orbits(image) == expected
 
 
 def test_components_figure():
