@@ -17,13 +17,13 @@ import argparse
 import time
 
 from cayley_runs import brute_force_tables, mapping_run_table, tree_run_table
-from cayley_runs.cli import AtLeastOne
+from cayley_runs.cli import AtLeastOne, add_workers
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=7, action=AtLeastOne)
-    ap.add_argument("--workers", type=int, default=1, action=AtLeastOne)
+    add_workers(ap)
     args = ap.parse_args()
 
     for n in range(1, args.n_max + 1):

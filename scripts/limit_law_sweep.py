@@ -12,7 +12,7 @@ import math
 
 from cayley_runs import clt_constants, normality_check, run_statistics
 from cayley_runs.asymptotics import MEAN_SLOPE, VARIANCE_SLOPE
-from cayley_runs.cli import AtLeastOne, AtLeastZero
+from cayley_runs.cli import AtLeastOne, AtLeastZero, add_workers
 from cayley_runs.config import check_mc_bounds
 
 
@@ -22,7 +22,7 @@ def main() -> None:
                     default=[10, 30, 100, 300, 1000, 3000])
     ap.add_argument("--samples", type=int, default=100_000, action=AtLeastOne)
     ap.add_argument("--seed", type=int, default=1729, action=AtLeastZero)
-    ap.add_argument("--workers", type=int, default=2, action=AtLeastOne)
+    add_workers(ap)
     args = ap.parse_args()
     for n in args.sizes:  # mc's bounds, before anything is drawn
         try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import asymptotics, bijections, core, exact, runs, series
@@ -43,6 +44,13 @@ class AtLeastOne(argparse.Action):
 
 class AtLeastZero(AtLeastOne):
     least = 0  # a seed flag: a negative value is a usage error
+
+
+def add_workers(parser: argparse.ArgumentParser) -> None:
+    """The --workers flag of every command and script: the CPU count unless given."""
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1, action=AtLeastOne,
+                        help="worker processes, at most the CPUs (default: the CPU count, "
+                             "%(default)s here); the results do not depend on it")
 
 
 @functools.cache
@@ -79,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", required=True, type=int)
     q.add_argument("--oracle", action="store_true",
                    help="force exhaustive enumeration instead of formulas")
-    q.add_argument("--workers", type=int, default=1, action=AtLeastOne)
+    add_workers(q)
     q.add_argument("--max-size", type=int, default=None,
                    help="override the exhaustive bound")
 
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", required=True, type=int)
     q.add_argument("--seed", type=int, default=None, action=AtLeastZero)
     q.add_argument("--trees", action="store_true", help="sample trees instead of mappings")
-    q.add_argument("--workers", type=int, default=1, action=AtLeastOne)
+    add_workers(q)
 
     q = sub.add_parser("verify-all", help="exhaustive small-size verification suite")
     q.add_argument("--n-max", type=int, default=6)

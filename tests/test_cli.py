@@ -525,6 +525,23 @@ def test_usage_errors(capsys):
     assert run_cli(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("command", ["mc", "table"])
+def test_workers_help_names_the_default(capsys, command):
+    assert run_cli([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default: the CPU count, {os.cpu_count() or 1} here)" in text
+    assert "the results do not depend on it" in text
+
+
+@pytest.mark.parametrize("script", ["exhaustive_tables.py", "limit_law_sweep.py"])
+def test_scripts_default_workers_to_the_cpu_count(script):
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, str(root / "scripts" / script), "--help"],
+                         env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert "(default: the CPU count," in " ".join(out.stdout.split())
+
+
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -546,15 +563,23 @@ def test_one_process_prints_what_separate_processes_print(capsys, tmp_path):
         ["table", "--oracle", "--kind", "mapping", "--n", "4"],
         ["table", "--kind", "mapping", "--n", "4"],
         ["verify-series", "--order", "8"],
+        # no --workers means the CPU count: four 655-row blocks split into slices,
+        # and two mapping chunks (2,097 + 3 rows) go to a pool
+        ["mc", "--n", "100", "--samples", "2000", "--trees"],
+        ["mc", "--n", "100", "--samples", "2000", "--trees", "--workers", "1"],
+        ["mc", "--n", "1000", "--samples", "2100"],
+        ["mc", "--n", "1000", "--samples", "2100", "--workers", "1"],
     ]
     in_process = [run(capsys, *argv) for argv in argvs]
     processes = [subprocess.run([sys.executable, "-m", "cayley_runs.cli", *argv],
                                 env=_package_env(), capture_output=True, text=True, timeout=120)
                  for argv in argvs]
     assert in_process == [(p.returncode, p.stdout) for p in processes]
-    assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert [code for code, _ in in_process] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
     assert [json.loads(in_process[i][1])["seed"] for i in (2, 3, 4, 5, 6)] == [5, 1729, 77, 1729, 77]
     assert in_process[8][1] == in_process[9][1] != ""
+    assert in_process[11][1] == in_process[12][1] != ""
+    assert in_process[13][1] == in_process[14][1] != ""
 
 
 def test_missing_file_is_reported(capsys):

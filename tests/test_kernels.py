@@ -290,6 +290,8 @@ def test_pools_work_under_spawn():
             assert brute_force_tables(5, workers=2) == brute_force_tables(5)
             assert (run_statistics(1000, 5000, seed=9, workers=2)
                     == run_statistics(1000, 5000, seed=9))
+            assert (run_statistics(300, 3000, seed=9, workers=2, use_trees=True)
+                    == run_statistics(300, 3000, seed=9))
             print("ok")
     """)
     src = str(Path(cayley_runs.__file__).resolve().parents[1])

@@ -1,11 +1,13 @@
 import math
+import multiprocessing
+import os
 import sys
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from test_kernels import _run_counts_reference
+from test_kernels import _no_pool, _run_counts_reference
 
 from cayley_runs import (
     DegenerateVarianceError,
@@ -109,14 +111,51 @@ def test_blocked_sampler_equals_the_one_shot_chunk_draw(n, samples):
 @pytest.mark.parametrize("rows, use_trees", [(2097, False), (400, True)])
 def test_chunk_memory_stays_small(rows, use_trees):
     (stream,) = np.random.SeedSequence(1).spawn(1)
-    tracemalloc.start()
-    try:
-        montecarlo._chunk_histogram(1000, rows, stream, use_trees)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # drawn whole, the chunk peaked at 16.6 MiB for mappings and 3.2-3.7 MiB for trees
-    assert peak < 2 << 20
+    # the whole chunk, and its ragged last block alone: the rows before that are drawn and dropped
+    for start in (0, rows - rows % 65):
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_histogram(1000, rows, stream, use_trees, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # drawn whole, the chunk peaked at 16.6 MiB for mappings and 3.2-3.7 MiB for trees
+        assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("use_trees", [False, True])
+def test_slices_add_up_to_the_whole_chunk(use_trees):
+    # at n = 1000 a 2,097-row chunk is 32 blocks of 65 rows and a 17-row tail: cut after
+    # the first block, before the ragged last one, and at rows that split no block
+    (stream,) = np.random.SeedSequence(4).spawn(1)
+    whole = montecarlo._chunk_histogram(1000, 2097, stream, use_trees)
+    cuts = [0, 65, 1040, 2080, 2097]
+    slices = sum(montecarlo._chunk_histogram(1000, stop, stream, use_trees, start)
+                 for start, stop in zip(cuts, cuts[1:]))
+    assert whole.sum() == 2097
+    assert np.array_equal(slices, whole)
+
+
+def test_tree_chunks_are_cut_at_blocks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the CPU cap must not bind here
+    # 3,000 rows at n = 300 are 14 blocks of 218 rows; mapping chunks stay whole
+    jobs = montecarlo._chunk_jobs(300, 3000, None, True, 3)
+    assert [(start, stop) for _, stop, _, _, start in jobs] == [(0, 872), (872, 1962), (1962, 3000)]
+    assert [job[-1] for job in montecarlo._chunk_jobs(300, 3000, None, False, 3)] == [0]
+
+
+def test_split_tree_chunks_equal_one_worker_and_the_mapping_run(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that three workers cut three slices
+    mappings = run_statistics(300, 3000, 5)
+    for workers in (1, 2, 3):
+        assert run_statistics(300, 3000, 5, use_trees=True, workers=workers) == mappings
+
+
+def test_a_one_block_tree_chunk_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    assert (run_statistics(30, 20, 3, use_trees=True, workers=2)
+            == run_statistics(30, 20, 3, use_trees=True))
 
 
 def test_run_statistics_mean_small_n():
