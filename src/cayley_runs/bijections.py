@@ -121,7 +121,7 @@ class OrderedSetPartition:
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self.blocks))
 
 
 def make_partition(blocks) -> OrderedSetPartition:
@@ -218,6 +218,8 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     visited and none above it, so last[owner[a]] is the largest label of
     the block below a: it is pred[a], and f(pred[a]) = a.  After the scan
     last[k] is the largest label of block k, its top, which maps to link k.
+    The loop that writes each top's link also checks the two conditions
+    of the lemma, so the pair is validated as it is written.
 
     The labels are checked to be ints in [1, n] and the blocks non-empty.
     The blocks hold n labels in all, so a label in two blocks leaves some
@@ -253,12 +255,13 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
         p = pred[a] = last[k]
         image[p] = a
         last[k] = a
+    earlier = n + 1  # the previous block's top; every top is at most n
     for top, nj in zip(last, x):
+        if not top < earlier or pred[nj] < top < nj:
+            raise InvalidLinkSequenceError(
+                "a link is forbidden by an earlier block: the pair does not re-encode to itself")
         image[top] = nj
-    if (any(later >= earlier for later, earlier in zip(last[1:], last))
-            or any(pred[nj] < top < nj for top, nj in zip(last, x))):
-        raise InvalidLinkSequenceError(
-            "a link is forbidden by an earlier block: the pair does not re-encode to itself")
+        earlier = top
     return Mapping(n=n, image=tuple(image[1:]))
 
 

@@ -26,7 +26,7 @@ TABLE_BOUND = 1000
 MC_N_BOUND = 1 << 21
 # the most cells, n x samples, mc accepts: on one worker of the same machine
 # mappings take about 8-11 ns a cell, so 10^10 cells take under 2 minutes, and
-# trees (--trees) about 360-420 ns a cell per worker
+# trees (--trees) about 370-390 ns a cell per worker
 MC_CELLS_BOUND = 10 ** 10
 
 

@@ -114,18 +114,21 @@ def make_tree(parent) -> CayleyTree:
     return CayleyTree(n=len(parent), parent=parent, root=roots[0])
 
 
-def _cycles(image: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
-    """The cycles of the functional graph in walk order, and each node's basin.
+def _cycles(image: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]:
+    """The cycles of the functional graph in walk order, each node's walk, and where walks end.
 
     One walk from every unseen node, O(n) in total, stamps each node it
     reaches with the walk's number.  A walk that meets its own stamp has
     found a new cycle, which is walked once from the meeting node; any
-    other walk ends on the cycle of the walk it ran into.  basin[v] is
-    the 1-based number of the cycle v's walk ends on.  Each weak
+    other walk ends on the cycle of the walk it ran into.  The walk
+    reads a 1-based copy of the image, and it builds no per-node basin
+    list: node v's basin, the 1-based number of the cycle its walk ends
+    on, is ends[stamp[v]], and only ``components`` reads it.  Each weak
     component holds exactly one cycle, so the basins are the
     components, numbered by their smallest node.
     """
     n = len(image)
+    img = (0, *image)  # img[u] = f(u)
     stamp = [0] * (n + 1)  # 0 unseen, else the number of the walk that reached the node
     ends = [0]  # ends[w]: the 1-based number of the cycle walk w ends on
     cycles: list[list[int]] = []
@@ -136,18 +139,18 @@ def _cycles(image: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
         u = s
         while not stamp[u]:
             stamp[u] = w
-            u = image[u - 1]
+            u = img[u]
         if stamp[u] == w:
             cycle = [u]
-            x = image[u - 1]
+            x = img[u]
             while x != u:
                 cycle.append(x)
-                x = image[x - 1]
+                x = img[x]
             cycles.append(cycle)
             ends.append(len(cycles))
         else:
             ends.append(ends[stamp[u]])
-    return cycles, [ends[w] for w in stamp]
+    return cycles, stamp, ends
 
 
 def cyclic_nodes(m: Mapping) -> frozenset[int]:
@@ -157,10 +160,10 @@ def cyclic_nodes(m: Mapping) -> frozenset[int]:
 
 def components(m: Mapping) -> ComponentDecomposition:
     """Partition [n] into weakly connected components, ordered by smallest node."""
-    cycles, basin = _cycles(m.image)
+    cycles, stamp, ends = _cycles(m.image)
     groups: list[list[int]] = [[] for _ in cycles]
     for v in range(1, m.n + 1):
-        groups[basin[v] - 1].append(v)
+        groups[ends[stamp[v]] - 1].append(v)
     return ComponentDecomposition(components=tuple(frozenset(c) for c in groups),
                                   cyclic=frozenset(j for cycle in cycles for j in cycle))
 

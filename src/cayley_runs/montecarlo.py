@@ -22,7 +22,7 @@ sampling hot path.  Every block is counted by ``kernels.run_counts``:
 a root's self-loop is never an ascent, so parent arrays count like
 image arrays.
 
-A tree row costs about 50 mapping rows, so a tree chunk is split into
+A tree row costs about 40 mapping rows, so a tree chunk is split into
 ``kernels.pool_size(workers, blocks)`` jobs, each a contiguous run of
 whole blocks.  A job draws the chunk's stream from row 0 to the end of
 its slice and counts only its own rows; the slices' histograms add up

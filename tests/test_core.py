@@ -18,6 +18,7 @@ from cayley_runs import (
     make_tree,
     preimages,
 )
+from cayley_runs.bijections import mapping_to_tree
 from cayley_runs.core import _cycles
 
 from conftest import FIG_COMPONENTS, FIG_CYCLIC, FIG_MAPPING, FIG_TREE_PARENT, FIG_TREE_ROOT
@@ -118,9 +119,20 @@ def _cycles_by_orbits(image):
     return cycles, basin
 
 
-@given(mappings)
-def test_cycles_match_the_orbit_reference(m):
-    assert _cycles(m.image) == _cycles_by_orbits(m.image)
+def _cycles_and_basins(image):
+    """``_cycles``'s cycles, and each node's basin read as ends[stamp[v]]."""
+    cycles, stamp, ends = _cycles(image)
+    return cycles, [ends[w] for w in stamp]
+
+
+# make_tree walks parent arrays: a mapping's tree under the bijection is one
+images = mappings.flatmap(lambda m: st.sampled_from(
+    [m.image, mapping_to_tree(m).tree.parent]))
+
+
+@given(images)
+def test_cycles_match_the_orbit_reference(image):
+    assert _cycles_and_basins(image) == _cycles_by_orbits(image)
 
 
 @pytest.mark.parametrize("image, expected", [
@@ -130,7 +142,7 @@ def test_cycles_match_the_orbit_reference(m):
     ((5, 1, 2, 3, 4), ([[1, 5, 4, 3, 2]], [0, 1, 1, 1, 1, 1])),
 ], ids=["n=1", "fixed-points", "n-cycle", "n-cycle-down"])
 def test_cycles_edge_cases(image, expected):
-    assert _cycles(image) == _cycles_by_orbits(image) == expected
+    assert _cycles_and_basins(image) == _cycles_by_orbits(image) == expected
 
 
 def test_components_figure():

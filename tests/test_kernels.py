@@ -134,7 +134,7 @@ def _random_trees(rng, rows, n):
     return parents
 
 
-@pytest.mark.parametrize("rows, n", [(300, 7), (40, 50), (8, 300)])
+@pytest.mark.parametrize("rows, n", [(300, 7), (40, 50), (8, 300), (10, 1000)])
 def test_bijection_kernels_random_blocks(rows, n):
     rng = np.random.default_rng(n)
     _assert_bijections_match_scalar(rng.integers(1, n + 1, size=(rows, n)))
