@@ -32,8 +32,8 @@ def main() -> None:
 
     constants = clt_constants()
     print(f"limit slopes: mean {MEAN_SLOPE:.10f}, variance {VARIANCE_SLOPE:.10f}")
-    print(f"numeric offset constants: V'(0)={constants.v_prime0:.6f}, "
-          f"V''(0)={constants.v_doubleprime0:.6f}")
+    print(f"limit offsets: mean V'(0)={constants.v_prime0:.6f}, "
+          f"variance V''(0)={constants.v_doubleprime0:.6f}")
     header = f"{'n':>6} {'mean/n':>10} {'var/n':>10} {'n*(mean/n-mu)':>14} {'n*(var/n-s2)':>14} {'KS':>8}"
     print(header)
     for n in args.sizes:

@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("asymptotics", help="singularity data and limit-law constants")
     q.add_argument("--v", type=float, default=1.0)
-    q.add_argument("--constants", action="store_true")
+    q.add_argument("--constants", action="store_true",
+                   help="also print the limit-law constants, which are at v = 1 whatever --v is")
 
     q = sub.add_parser("mc", help="Monte Carlo run statistics as JSON")
     q.add_argument("--n", required=True, type=int)

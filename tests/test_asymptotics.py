@@ -1,21 +1,50 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cayley_runs import clt_constants, lambert_w, rho_residual, singularity_data
+from cayley_runs import clt_constants, exact_moments, lambert_w, rho_residual, singularity_data
 from cayley_runs.asymptotics import (
     MEAN_SLOPE,
     VARIANCE_SLOPE,
     DomainError,
-    StepTooLargeError,
     tau_double_prime_closed,
     tau_prime_closed,
-    _central_derivatives,
-    _mgf_exponent_slope,
 )
+
+
+# The finite-difference oracle: the limit-law constants as derivatives at s = 0
+# of the quasi-power exponents U and V, from singularity_data alone.
+
+def _mgf_exponent_slope(s):
+    """U(s) = -1 + s + tau(e^s)."""
+    return -1.0 + s + singularity_data(math.exp(s)).tau
+
+
+def _mgf_exponent_offset(s):
+    """V(s) = -ln sqrt(1 + rho (1 - e^s)), via the cancellation-free rho = e^(-s-tau)."""
+    tau = singularity_data(math.exp(s)).tau
+    return -0.5 * math.log1p(math.exp(-s - tau) * (1.0 - math.exp(s)))
+
+
+def _central_derivatives(fn, h):
+    """Richardson-extrapolated central first and second differences at 0.
+
+    One extrapolation level turns the O(h^2) central formulas into
+    O(h^4), which keeps truncation below the round-off floor at h = 1e-3.
+    """
+    f0 = fn(0.0)
+
+    def d1(step):
+        return (fn(step) - fn(-step)) / (2.0 * step)
+
+    def d2(step):
+        return (fn(step) - 2.0 * f0 + fn(-step)) / (step * step)
+
+    return (4.0 * d1(h / 2.0) - d1(h)) / 3.0, (4.0 * d2(h / 2.0) - d2(h)) / 3.0
 
 
 def test_lambert_w_anchor_points():
@@ -85,20 +114,58 @@ def test_lambert_form_tends_to_one_over_e():
     assert prev < 1e-5
 
 
+def _closed_forms():
+    """e and the closed forms of mu, sigma2, V'(0) and V''(0), to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = Decimal(1).exp()
+        return e, (1 - 1 / e, 1 / e - 2 / e ** 2, 1 / (2 * e), (3 - e) / (2 * e ** 2))
+
+
 def test_clt_constants_match_closed_forms():
     c = clt_constants()
-    assert abs(c.mu - (1.0 - math.exp(-1.0))) <= 1e-8
-    assert abs(c.sigma2 - (math.exp(-1.0) - 2.0 * math.exp(-2.0))) <= 1e-8
     assert c.sigma2 > 0.0  # variability condition
-    assert abs(c.v_prime0 - 1.0 / (2.0 * math.e)) <= 1e-9
-    assert abs(c.v_doubleprime0 - (1.5 / math.e ** 2 - 1.0 / (2.0 * math.e))) <= 1e-9
+    values = (c.mu, c.sigma2, c.v_prime0, c.v_doubleprime0)
+    for value, closed in zip(values, _closed_forms()[1]):
+        assert abs(Decimal(value) - closed) <= Decimal("1e-15") * closed  # a few ulps
 
 
-def test_clt_offset_derivatives_are_stable():
-    a = clt_constants(1e-3)
-    b = clt_constants(5e-4)
-    assert abs(a.v_prime0 - b.v_prime0) < 1e-6
-    assert abs(a.v_doubleprime0 - b.v_doubleprime0) < 1e-5
+def test_clt_constants_match_finite_differences():
+    c = clt_constants()
+    mu, sigma2 = _central_derivatives(_mgf_exponent_slope, 1e-3)
+    v1, v2 = _central_derivatives(_mgf_exponent_offset, 1e-3)
+    assert abs(c.mu - mu) <= 1e-8
+    assert abs(c.sigma2 - sigma2) <= 1e-8
+    assert abs(c.v_prime0 - v1) <= 1e-9
+    assert abs(c.v_doubleprime0 - v2) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [100, 1000, 3000])
+def test_exact_moments_expand_to_the_limit_constants(n):
+    # With t = 1/n, p = (1 - t)^n = e^(-1) exp(-t/2 - t^2/3 - t^3/4 - ...) and
+    # q = (1 - 2t)^n = e^(-2) exp(-2t - 8t^2/3 - 4t^3 - ...).  Expanding
+    # E[X] = n (1 - p) and Var X = n^2 (q - p^2) + n (p - q) in t gives
+    #   E[X]  = n mu + 1/(2e) + 5/(24e) t + 5/(48e) t^2 + 337/(5760e) t^3 + ...
+    #   Var X = n sigma2 + (3 - e)/(2e^2) + (16 - 5e)/(24e^2) t
+    #           + (22 - 5e)/(48e^2) t^2 + (2640 - 337e)/(5760e^2) t^3 + ...
+    # so n (E[X] - n mu - V'(0)) = c1 + c2 t + c3 t^2 + O(t^3), and likewise for
+    # Var X.  The logarithms put the nearest singularity at t = 1 (mean) and
+    # t = 1/2 (variance), so the coefficients grow no faster than about 2^k, and at
+    # t <= 1/100 the t^3 and later terms add less than c3 t^2:
+    # |n * remainder - c1 - c2 t| <= 2 c3 t^2.
+    e, (mu, sigma2, v1, v2) = _closed_forms()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m = exact_moments(n)
+        mean = Decimal(m.mean.numerator) / Decimal(m.mean.denominator)
+        var = Decimal(m.variance.numerator) / Decimal(m.variance.denominator)
+        expansions = [
+            (mean - n * mu - v1, [5 / (24 * e), 5 / (48 * e), 337 / (5760 * e)]),
+            (var - n * sigma2 - v2, [(16 - 5 * e) / (24 * e ** 2), (22 - 5 * e) / (48 * e ** 2),
+                                     (2640 - 337 * e) / (5760 * e ** 2)]),
+        ]
+        for remainder, (c1, c2, c3) in expansions:
+            assert abs(n * remainder - c1 - c2 / n) <= 2 * c3 / n ** 2
 
 
 def test_tau_derivative_closed_forms():
@@ -126,10 +193,3 @@ def test_richardson_derivatives_agree_with_analytic():
     first, second = _central_derivatives(math.sin, 1e-3)
     assert abs(first - 1.0) < 1e-10
     assert abs(second) < 1e-8
-
-
-def test_step_guard():
-    with pytest.raises(StepTooLargeError):
-        clt_constants(1e-2)
-    with pytest.raises(StepTooLargeError):
-        clt_constants(0.0)
