@@ -20,9 +20,9 @@ from fractions import Fraction
 DEFAULT_EXHAUSTIVE_BOUND = 7
 # Arrays one pooled job scans, so a scan of at most this many runs in this process.
 # In-process on a 2-core x86-64 box (numpy 2.4), one worker against a pool of two:
-# n = 7 (8.2e5 arrays) 6 ms against 22 ms, n = 8 (1.7e7) 0.10 s against 0.13 s, and
-# n = 9 (3.9e8) 3.3-4.0 s against 1.9-2.1 s.  So a job holds 2^25 arrays, between the
-# sizes of n = 8 and n = 9: n = 8 is one job, and n = 9 is twelve.
+# n = 7 (8.2e5 arrays) 5-8 ms against 14-27 ms, n = 8 (1.7e7) 0.08-0.12 s against
+# 0.06-0.10 s, and n = 9 (3.9e8) 2.7-2.9 s against 1.6 s.  A job holds 2^25 arrays,
+# between the sizes of n = 8 and n = 9: n = 8 is one job, and n = 9 is twelve.
 _JOB_ARRAYS = 1 << 25
 
 

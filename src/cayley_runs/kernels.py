@@ -25,10 +25,11 @@ and ``pool_size`` says how many it starts.
 The brute-force oracle's array engine lives here too: ``_tally_blocks``
 tallies every array with given prefixes through the tables of
 ``_suffix_tables``, and ``exact.brute_force_tables`` deals the prefixes
-to its jobs.  This module and ``montecarlo`` are the only ones that
-import numpy (and this one ``multiprocessing``) when they load; every
-other module loads them on first use, so commands that draw or scan no
-array start without them.
+to its jobs.  It counts runs with ``np.bitwise_count``, new in numpy
+2.0, so the package needs numpy 2.0 or later.  This module and
+``montecarlo`` are the only ones that import numpy (and this one
+``multiprocessing``) when they load; every other module loads them on
+first use, so commands that draw or scan no array start without them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ _BLOCK_CELLS = 1 << 16  # cells per block_rows block: an int64 block is 512 KiB
 # The brute-force oracle's suffix is the last 4 entries: each job tabulates its n^4
 # values, 2,401 at n = 7, and the prefixes before it are dealt to the jobs.
 _FREE_ENTRIES = 4
-_CHUNK_CELLS = 1 << 16  # oracle cells classified at once: 128 KiB uint16 keys at n = 7 and 8
 
 
 def pool_size(workers: int, jobs: int) -> int:
@@ -297,11 +297,11 @@ def _suffix_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
     contracted map of {0, ..., p} (0 a sink) that the codes spell, counts
     the cycles through the prefix.
 
-    Returns (codes, classes, ascents, runs).  codes[i, y - 1, r] is prefix
+    Returns (codes, classes, ascents).  codes[i, y - 1, r] is prefix
     entry i's share of the key when that entry is y and the suffix is r,
     and codes[0] also carries the suffix's share; classes[key] is
     (n + 1) (conn + tree); ascents[r] holds the suffix's ascent targets as
-    bits; runs[b] is n minus the bits set in b.
+    bits.
     """
     s, q = n - p, p + 2
     block = np.empty((n ** s, n), dtype=np.intp)
@@ -332,11 +332,8 @@ def _suffix_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
     # int first: bool + bool would be a logical or
     classes = ((n + 1) * (conn.astype(int) + tree)).astype(np.min_scalar_type(3 * n + 2))
 
-    bits = np.arange(1 << n)
-    set_bits = ((bits[:, None] >> np.arange(n)) & 1).sum(axis=1)
     mask_type = np.min_scalar_type((1 << n) - 1)
-    return (codes, classes.reshape(-1), _ascent_bits(block).astype(mask_type),
-            (n - set_bits).astype(classes.dtype))
+    return codes, classes.reshape(-1), _ascent_bits(block).astype(mask_type)
 
 
 def _classes(tables: tuple[np.ndarray, ...], prefixes: np.ndarray) -> np.ndarray:
@@ -345,13 +342,14 @@ def _classes(tables: tuple[np.ndarray, ...], prefixes: np.ndarray) -> np.ndarray
     Row k holds the cells of prefix k, with the suffixes in the order of
     ``itertools.product``, so cell (k, r) is the array prefix k + suffix r.
     """
-    codes, classes, ascents, runs = tables
+    codes, classes, ascents = tables
+    n = codes.shape[1]
     key = codes[0][prefixes[:, 0] - 1]
     for i in range(1, prefixes.shape[1]):
         key += codes[i][prefixes[:, i] - 1]
     out = np.take(classes, key)  # np.take gathers faster than fancy indexing
     prefix_ascents = _ascent_bits(prefixes).astype(ascents.dtype)
-    out += np.take(runs, ascents | prefix_ascents[:, None])
+    out += n - np.bitwise_count(ascents | prefix_ascents[:, None])
     return out
 
 
@@ -372,13 +370,14 @@ def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
     ascent of P or S targets, the union of the two ascent sets.
 
     So each job tabulates the suffixes once (``_suffix_tables``) and then
-    classifies the cells of ``_CHUNK_CELLS`` at a time by table lookups.
-    Every array is still counted once and no formula is called.
+    classifies one ``block_rows`` block of prefixes at a time by table
+    lookups and popcounts.  Every array is still counted once and no
+    formula is called.
     """
     p = len(prefixes[0])
     tables = _suffix_tables(n, p)
     rows = np.array(prefixes, dtype=np.intp)
-    step = max(1, _CHUNK_CELLS // n ** (n - p))
+    step = block_rows(len(rows), n ** (n - p))
     counts = np.zeros(3 * (n + 1), dtype=np.int64)
     for start in range(0, len(rows), step):
         cells = _classes(tables, rows[start:start + step])

@@ -14,13 +14,14 @@ consecutive ``Generator.integers`` calls on one PCG64 stream continue
 it, because a bound below 2^32 draws 32-bit halves whose spare half
 the bit generator itself keeps between calls.
 
-Trees are drawn by pulling a uniform mapping back through the
-tree-mapping bijection and discarding the mark; each tree arises from
-exactly n marked pairs, so the result is uniform.  This deliberately
-exercises the scalar bijection, row by row within each block, in the
-sampling hot path.  Every block is counted by ``kernels.run_counts``:
-a root's self-loop is never an ascent, so parent arrays count like
-image arrays.
+Trees are drawn by pulling a uniform mapping back through the scalar
+tree-mapping bijection, row by row, and discarding the mark; each tree
+arises from exactly n marked pairs, so the result is uniform.
+``kernels.run_counts`` counts every block: a root's self-loop is never
+an ascent, so parent arrays count like image arrays.  The bijection
+keeps run starts, so a tree run gives the mapping run's statistics for
+the same n, samples and seed (CI asserts the same JSON): it re-checks
+the bijection at scale, but it does not test the tree law on its own.
 
 A tree row costs about 40 mapping rows, so a tree chunk is split into
 ``kernels.pool_size(workers, blocks)`` jobs, each a contiguous run of

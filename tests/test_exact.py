@@ -256,6 +256,16 @@ def test_brute_force_tables_match_the_per_block_scan(n):
         {m: int(c) for m, c in enumerate(row) if c} for row in want]
 
 
+def test_tally_blocks_on_sixteen_bit_masks():
+    # n = 9 is the first size whose ascent masks are uint16; a full scan is too slow here
+    n = 9
+    drawn = np.random.default_rng(26).integers(1, n + 1, size=(24, n - kernels._FREE_ENTRIES))
+    sample = [tuple(row) for row in drawn.tolist()]
+    sample += [(1, 1, 1, 1, 1), (1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (9, 9, 9, 9, 9)]
+    assert kernels._suffix_tables(n, 5)[2].dtype == np.uint16
+    assert np.array_equal(kernels._tally_blocks(n, sample), _tally_blocks_reference(n, sample))
+
+
 def test_brute_force_calls_no_formula(monkeypatch):
     n = 6
     want = (tree_run_table(n), mapping_run_table(n),
