@@ -3,24 +3,27 @@
 The dominant singularity rho(v) of the run-marked mapping series and
 its local value tau(v) solve
 
-    tau = 1 + (1 - v) / (v e^tau),      rho = 1 / (v e^tau),
+    tau = 1 + (1 - v) / (v e^tau),      rho = 1 / (v e^tau).
 
-with tau(1) = 1 and rho(1) = 1/e.  Near s = 0 the run count X has the
+With u = tau - 1 the first equation reads u e^u = (1 - v)/(e v), so
+
+    tau(v) = 1 + W((1 - v)/(e v)),
+
+with W the principal branch of Lambert's function (the argument is
+above -1/e for every v > 0, and the principal branch is the one with
+tau(1) = 1); hence rho(1) = 1/e.  Near s = 0 the run count X has the
 quasi-power form E[e^(sX)] ~ e^(n U(s) + V(s)), where
 
     U(s) = -1 + s + tau(e^s),      V(s) = -ln sqrt(1 + rho(e^s) (1 - e^s)),
 
 so X is asymptotically normal with mean U'(0) n + V'(0) and variance
 U''(0) n + V''(0).  All four derivatives have closed forms, which
-``clt_constants`` returns.  singularity_data carries tau(v) and rho(v)
-away from v = 1 in double precision; every check carries an explicit
-tolerance.
+``clt_constants`` returns.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 
@@ -33,9 +36,6 @@ class NoConvergenceError(ArithmeticError):
 
 
 TAU_WINDOW = (0.2, 5.0)
-TAU_TOL = 1e-14
-TAU_MAX_ITER = 80
-RHO_CONSISTENCY = 1e-10
 LAMBERT_TOL = 1e-12
 LAMBERT_MAX_ITER = 100
 DISPLAY_TOL = 1e-12
@@ -92,46 +92,19 @@ def lambert_w(x: float) -> float:
 
 
 def singularity_data(v: float) -> SingularityData:
-    """Solve the characteristic equation for tau at marking value v.
+    """tau and rho at marking value v, from tau = 1 + W((1 - v)/(e v)).
 
-    Newton iteration from tau = 1, until a step is below TAU_TOL relative
-    to max(1, |tau|), for at most TAU_MAX_ITER steps; TAU_WINDOW keeps v
-    where the solution is unique.  rho is computed from both available
-    formulas, which must agree to RHO_CONSISTENCY, and cross-checked
-    against the Lambert-W form rho = W((1-v)/(e v)) / (1-v) away from
-    v = 1.  The alternative forms divide by 1 - v, so their comparison
-    tolerance is widened by the round-off they amplify as v approaches 1.
+    The characteristic equation tau = 1 + (1 - v)/(v e^tau) becomes
+    u e^u = (1 - v)/(e v) with u = tau - 1.  The argument exceeds -1/e
+    for every v > 0, and W is taken on its principal branch, which gives
+    tau(1) = 1 and rho(1) = 1/e.  TAU_WINDOW is the range of v the
+    library accepts, a policy rather than a limit of the formula.
     """
     lo, hi = TAU_WINDOW
     if not lo < v < hi:
         raise DomainError(f"v={v} outside window ({lo}, {hi})")
-    tau = 1.0
-    for _ in range(TAU_MAX_ITER):
-        e_neg = math.exp(-tau)
-        g = tau - 1.0 - (1.0 - v) * e_neg / v
-        dg = 1.0 + (1.0 - v) * e_neg / v
-        step = g / dg
-        tau -= step
-        if abs(step) <= TAU_TOL * max(1.0, abs(tau)):
-            break
-    else:
-        raise NoConvergenceError(f"tau({v}) did not converge")
-    rho = 1.0 / (v * math.exp(tau))
-    if v == 1.0:
-        rho_alt = 1.0 / math.e
-        budget = RHO_CONSISTENCY
-    else:
-        rho_alt = (tau - 1.0) / (1.0 - v)
-        budget = RHO_CONSISTENCY + 8.0 * sys.float_info.epsilon / abs(1.0 - v)
-    if abs(rho - rho_alt) > budget * max(1.0, abs(rho)):
-        raise NoConvergenceError(
-            f"rho formulas disagree at v={v}: {rho} vs {rho_alt}")
-    if v != 1.0:
-        rho_w = lambert_w((1.0 - v) / (math.e * v)) / (1.0 - v)
-        if abs(rho - rho_w) > budget * max(1.0, abs(rho)):
-            raise NoConvergenceError(
-                f"Lambert-W cross-check failed at v={v}: {rho} vs {rho_w}")
-    return SingularityData(v=v, tau=tau, rho=rho)
+    tau = 1.0 + lambert_w((1.0 - v) / (math.e * v))
+    return SingularityData(v=v, tau=tau, rho=1.0 / (v * math.exp(tau)))
 
 
 def rho_residual(v: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from .exact import DEFAULT_EXHAUSTIVE_BOUND
 
 # the largest order the series commands accept: verify-series at order 100
-# takes about 7.3-8.5 s as a process on a 2-core x86-64 machine, most of it
+# takes about 11-15 s as a process on a 2-core x86-64 machine, most of it
 # in the identity checks and the mapping and connected sweeps
 SERIES_BOUND = 100
 # the largest n the closed-form tree and mapping tables accept: at n = 1000

@@ -9,11 +9,29 @@ from hypothesis import strategies as st
 from cayley_runs import clt_constants, exact_moments, lambert_w, rho_residual, singularity_data
 from cayley_runs.asymptotics import (
     MEAN_SLOPE,
+    TAU_WINDOW,
     VARIANCE_SLOPE,
     DomainError,
     tau_double_prime_closed,
     tau_prime_closed,
 )
+
+
+def _newton_tau(v):
+    """Newton's method on g(tau) = tau - 1 - (1 - v) e^(-tau) / v from tau = 1.
+
+    The oracle for the Lambert-W closed form: it shares nothing with
+    lambert_w.  It stops once a step is below 1e-14 relative to
+    max(1, |tau|), for at most 80 steps.
+    """
+    tau = 1.0
+    for _ in range(80):
+        e_neg = math.exp(-tau)
+        step = (tau - 1.0 - (1.0 - v) * e_neg / v) / (1.0 + (1.0 - v) * e_neg / v)
+        tau -= step
+        if abs(step) <= 1e-14 * max(1.0, abs(tau)):
+            return tau
+    raise AssertionError(f"Newton for tau({v}) did not converge")
 
 
 # The finite-difference oracle: the limit-law constants as derivatives at s = 0
@@ -64,6 +82,13 @@ def test_lambert_w_against_scipy(x):
     assert abs(lambert_w(x) - scipy.special.lambertw(x).real) < 1e-9
 
 
+@pytest.mark.parametrize("x", [1e-3, -1e-3, 1e-8, -1e-8, 1e-12, -1e-12])
+def test_lambert_w_near_zero_is_relatively_accurate(x):
+    # tau(v) near v = 1 is 1 + W(x) at tiny x, so W must hold its relative accuracy there
+    w = scipy.special.lambertw(x).real
+    assert abs(lambert_w(x) - w) <= 1e-14 * abs(w)
+
+
 def test_lambert_w_domain():
     with pytest.raises(DomainError):
         lambert_w(-0.5)
@@ -80,7 +105,7 @@ def test_singularity_at_half_against_fixed_point_oracle():
     for _ in range(200):
         tau = 1.0 + math.exp(-tau)
     data = singularity_data(0.5)
-    assert abs(data.tau - tau) < 1e-4
+    assert abs(data.tau - tau) < 1e-14
     assert abs(data.tau - 1.2785) < 1e-4
 
 
@@ -88,6 +113,20 @@ def test_singularity_at_half_against_fixed_point_oracle():
 def test_rho_defining_product(v):
     data = singularity_data(v)
     assert abs(data.rho * v * math.exp(data.tau) - 1.0) <= 1e-10
+
+
+@given(st.floats(0.25, 4.9))
+def test_tau_solves_characteristic_equation(v):
+    tau = singularity_data(v).tau
+    assert abs(tau - 1.0 - (1.0 - v) * math.exp(-tau) / v) <= 4 * math.ulp(tau)
+
+
+def test_tau_matches_newton_oracle_on_window_grid():
+    lo, hi = TAU_WINDOW
+    for k in range(1, 1001):
+        v = lo + (hi - lo) * k / 1001
+        tau = singularity_data(v).tau
+        assert abs(tau - _newton_tau(v)) <= 4 * math.ulp(tau), v
 
 
 def test_rho_functional_equation_on_grid():

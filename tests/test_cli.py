@@ -423,6 +423,26 @@ def test_asymptotics_json(capsys):
         '"sigma2": 0.097208874698, "v_prime0": 0.183939720586, "v_doubleprime0": 0.019063204269}\n')
 
 
+@pytest.mark.parametrize("v, line", [
+    ("0.5", '{"v": 0.5, "tau": 1.278464542761, "rho": 0.556929085522}\n'),
+    ("1.7", '{"v": 1.7, "tau": 0.8183454883, "rho": 0.259506445285}\n'),
+    ("2.0", '{"v": 2.0, "tau": 0.768039047013, "rho": 0.231960952987}\n'),
+])
+def test_asymptotics_json_away_from_one(capsys, v, line):
+    code, out = run(capsys, "asymptotics", "--v", v)
+    assert code == 0
+    assert out == line
+
+
+@pytest.mark.parametrize("v, message", [
+    ("0.2", "v=0.2 outside window (0.2, 5.0)"),
+    ("5", "v=5.0 outside window (0.2, 5.0)"),
+])
+def test_asymptotics_window_is_open(capsys, v, message):
+    assert run_cli(["asymptotics", "--v", v]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_mc_json_deterministic(capsys):
     code, first = run(capsys, "mc", "--n", "50", "--samples", "2000", "--seed", "5")
     assert code == 0
