@@ -19,7 +19,6 @@ from .asymptotics import (
     SingularityData,
     clt_constants,
     lambert_w,
-    rho_residual,
     singularity_data,
 )
 from .bijections import (

@@ -35,7 +35,6 @@ from cayley_runs import (
     mapping_to_tree,
     normality_check,
     pde_residual,
-    rho_residual,
     run_starts_mapping,
     run_starts_tree,
     run_statistics,
@@ -187,7 +186,10 @@ def test_criterion_08_asymptotic_constants():
     ok &= abs(at_one.tau - 1.0) <= 1e-12
     ok &= abs(at_one.rho - math.exp(-1.0)) <= 1e-12
     grid = [0.3 + 0.1 * k for k in range(45)]
-    ok &= all(abs(rho_residual(v)) <= 1e-10 for v in grid)
+    for v in grid:
+        # (1 - v) rho e^(rho (1 - v)) = (1 - v)/(e v), the functional equation of rho
+        rho = singularity_data(v).rho
+        ok &= abs((1.0 - v) * rho * math.exp(rho * (1.0 - v)) - (1.0 - v) / (math.e * v)) <= 1e-10
     _report(8, "limit constants within 1e-8, singularity data within 1e-12/1e-10",
             ok, f"mu={constants.mu:.10f} sigma2={constants.sigma2:.10f}")
 

@@ -6,14 +6,13 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cayley_runs import clt_constants, exact_moments, lambert_w, rho_residual, singularity_data
+from cayley_runs import clt_constants, exact_moments, lambert_w, singularity_data
 from cayley_runs.asymptotics import (
     MEAN_SLOPE,
     TAU_WINDOW,
     VARIANCE_SLOPE,
     DomainError,
-    tau_double_prime_closed,
-    tau_prime_closed,
+    tau_derivatives,
 )
 
 
@@ -90,8 +89,9 @@ def test_lambert_w_near_zero_is_relatively_accurate(x):
 
 
 def test_lambert_w_domain():
-    with pytest.raises(DomainError):
-        lambert_w(-0.5)
+    for x in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            lambert_w(x)
 
 
 def test_singularity_at_one():
@@ -127,8 +127,11 @@ def test_tau_matches_newton_oracle_on_window_grid():
 
 
 def test_rho_functional_equation_on_grid():
+    # (1 - v) rho e^(rho (1 - v)) = (1 - v)/(e v), the functional equation of rho
     for v in [0.3 + 0.2 * k for k in range(22)]:
-        assert abs(rho_residual(v)) <= 1e-10
+        rho = singularity_data(v).rho
+        residual = (1.0 - v) * rho * math.exp(rho * (1.0 - v)) - (1.0 - v) / (math.e * v)
+        assert abs(residual) <= 1e-10
 
 
 def test_rho_window():
@@ -205,12 +208,22 @@ def test_exact_moments_expand_to_the_limit_constants(n):
 
 
 def test_tau_derivative_closed_forms():
-    assert abs(tau_prime_closed(1.0) + math.exp(-1.0)) < 1e-12
+    tp, tpp = tau_derivatives(1.0)
+    assert abs(tp + math.exp(-1.0)) < 1e-12
     expected = -math.exp(-2.0) + (2.0 * math.e - 1.0) * math.exp(-2.0)
-    assert abs(tau_double_prime_closed(1.0) - expected) < 1e-12
-    assert abs(1.0 + tau_prime_closed(1.0) - MEAN_SLOPE) < 1e-12
-    assert abs(tau_double_prime_closed(1.0) + tau_prime_closed(1.0)
-               - VARIANCE_SLOPE) < 1e-12
+    assert abs(tpp - expected) < 1e-12
+    assert abs(1.0 + tp - MEAN_SLOPE) < 1e-12
+    assert abs(tpp + tp - VARIANCE_SLOPE) < 1e-12
+
+
+def test_tau_derivatives_match_finite_differences_across_window():
+    # the displays feed sigma^2(v) away from v = 1, so check them on a grid, not only at 1
+    for k in range(199):
+        v = 0.25 + (4.7 - 0.25) * k / 198
+        tp, tpp = tau_derivatives(v)
+        fd1, fd2 = _central_derivatives(lambda s, v=v: singularity_data(v + s).tau, 1e-3)
+        assert abs(tp - fd1) <= 1e-9 * max(1.0, abs(tp)), v
+        assert abs(tpp - fd2) <= 1e-7 * max(1.0, abs(tpp)), v
 
 
 def test_uncorrected_central_difference_shows_second_order():
