@@ -74,6 +74,7 @@ from .series import (
     check_aux_tree_relation,
     check_exp_connected_is_mapping,
     check_mapping_from_tree_derivative,
+    connected_run_table,
     connected_series,
     mapping_series,
     pde_residual,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -162,12 +163,11 @@ def _cmd_table(args, cfg: Config) -> int:
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
-    # kind -> (oracle slot, table, bound name, bound); connected counts come from the series
+    # kind -> (oracle slot, table, bound name, bound); connected counts are one Lagrange row
     slot, closed_form, name, bound = {
         "tree": (0, exact.tree_run_table, "table", TABLE_BOUND),
         "mapping": (1, exact.mapping_run_table, "table", TABLE_BOUND),
-        "connected": (2, lambda n: series.series_count_table(series.connected_series(n), n),
-                      "series", SERIES_BOUND),
+        "connected": (2, series.connected_run_table, "series", SERIES_BOUND),
     }[args.kind]
     if args.oracle:
         name, bound = "exhaustive", (args.max_size if args.max_size is not None
@@ -199,11 +199,13 @@ def _cmd_series(args, cfg: Config) -> int:
         "R": series.mapping_series,
         "C": series.connected_series,
     }[args.which]
-    s = solver(order)
-    for n in range(order + 1):
-        for m, x in enumerate(s.coefficient(n)):
+    fact = 1
+    for n, row in enumerate(solver(order).egf):
+        fact *= n or 1
+        for m, x in enumerate(row):
             if x:
-                print(f"{n},{m},{x.numerator},{x.denominator}")
+                g = math.gcd(x, fact)  # [z^n v^m] = x / n! in lowest terms, as Fraction prints it
+                print(f"{n},{m},{x // g},{fact // g}")
     return 0
 
 

@@ -25,7 +25,8 @@ Two width rules apply.
   function, mappings sum to n^n and connected mappings to at most n^n.
   The signed Horner intermediates of A's and F's closed forms are never
   unpacked, so their sizes do not matter; the other sweeps hold returned
-  rows only.  Each solver is a sweep over packed rows run by ``_solved``.
+  rows only.  Each solver is a sweep over packed rows run by ``_solved``;
+  ``connected_run_table`` packs its one row n at the width of order n.
 * The checks' product and exponential pack each output row k at its own
   width, from the operands' 1-norms: every coefficient of row k of AB
   is at most sum_j C(k, j) |a_j|_1 |b_(k-j)|_1 in absolute value.  Row k
@@ -58,7 +59,8 @@ n! [z^n v^m]:
 * connected_series   is  ln 1 / (1 - z v e^A),  counting connected mappings by
   runs: the paper's ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) reduced.
   Both read T = z v e^A = A - (1 - v) z off A, so no solver computes
-  e^A, and exp(C) = R holds for any A.
+  e^A, and exp(C) = R holds for any A.  ``connected_run_table`` computes
+  one row of C as a Lagrange row, as for A and F, without the sweep.
 """
 
 from __future__ import annotations
@@ -301,24 +303,26 @@ def _binomial_conv(k: int, a: list[int], b: list[int], js: range) -> int:
     return sum(math.comb(k, j) * a[j] * b[k - j] for j in js)
 
 
-def _lagrange_series(order: int, weight) -> BivariateSeries:
-    """The series with row 0 zero and row n >= 1 sum_{k=0..n} weight(n, k) v^k (1 - v)^(n-k).
+def _lagrange_row(n: int, weight, w: int) -> int:
+    """sum_{k=0..n} weight(n, k) v^k (1 - v)^(n-k), packed at v = 2^w.
 
     Homogeneous Horner in (v, 1 - v): h <- (1 - v) h + c_k v^k for
     k = 0..n, which at v = 2^w is one shift, one subtraction and one
     addition per step.  Packing is a ring homomorphism, so the signed
-    intermediates are never unpacked: only the returned rows must fit the
-    solver width (module docstring).
+    intermediates are never unpacked: only the returned row must fit the
+    width (module docstring).
     """
+    h = 0
+    for k in range(n + 1):
+        h += (weight(n, k) << k * w) - (h << w)
+    return h
+
+
+def _lagrange_series(order: int, weight) -> BivariateSeries:
+    """The series with row 0 zero and row n >= 1 sum_{k=0..n} weight(n, k) v^k (1 - v)^(n-k)."""
     def sweep(v, _):
         w = v.bit_length() - 1
-        rows = [0]
-        for n in range(1, order + 1):
-            h = 0
-            for k in range(n + 1):
-                h += (weight(n, k) << k * w) - (h << w)
-            rows.append(h)
-        return rows
+        return [0, *(_lagrange_row(n, weight, w) for n in range(1, order + 1))]
     return _solved(order, sweep)
 
 
@@ -424,6 +428,42 @@ def check_exp_connected_is_mapping(order: int) -> bool:
     """exp(C) = R.  Both sweep over the one 1 - T read off A, so this holds for any A:
     it tests the solvers' log and reciprocal sweeps against ``BivariateSeries.exp``."""
     return (connected_series(order).exp() - mapping_series(order)).is_zero()
+
+
+def _connected_mappings(k: int) -> int:
+    """c_k = (k-1)! sum_{i<k} k^i / i!, the connected mappings of size k >= 1:
+    P_0 = 1, P_i = i P_(i-1) + k^i, c_k = P_(k-1)."""
+    p = power = 1
+    for i in range(1, k):
+        power *= k
+        p = i * p + power
+    return p
+
+
+def connected_run_table(n: int) -> CountTable:
+    """CountTable of size-n connected mappings by runs, from one Lagrange row.
+
+    C = ln 1/(1 - T) is a function of T alone, and by A's equation
+    T = A - (1 - v) z = y e^T with y = z v e^((1 - v) z): T is the Cayley
+    tree function at y, so k! [y^k] C = c_k, the number of connected
+    mappings of size k.  As n! [z^n] y^k = C(n, k) k^(n-k) v^k (1 - v)^(n-k),
+    n! [z^n] C = sum_{k=1..n} C(n, k) c_k k^(n-k) v^k (1 - v)^(n-k),
+    the row shape of ``auxiliary_series``.  It is nonnegative and sums to
+    at most n^n, so it is unpacked exactly at the solver width of order n.
+
+    The formula needs the run-marked class to be a function of the
+    run-marked T as a whole, as R and C are.  Fixed-point-free mappings,
+    e^(-T) / (1 - T) with g_k = (k - 1)^k, are so only at v = 1: at n = 2
+    the row gives v^2, but the one such mapping, 2 1, has 1 run; at n = 3
+    it gives {2: 6, 3: 2} against {1: 2, 2: 6} by brute force.  A cycle
+    longer than 1 can block a run start, which the marking of T does not see.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    c = [0, *(_connected_mappings(k) for k in range(1, n + 1))]
+    w = _solver_width(n)
+    row = _unpack(_lagrange_row(n, lambda n, k: math.comb(n, k) * c[k] * k ** (n - k), w), w)
+    return CountTable(n=n, values={m: x for m, x in enumerate(row) if x})
 
 
 def series_count_table(s: BivariateSeries, n: int) -> CountTable:

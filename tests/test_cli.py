@@ -189,7 +189,8 @@ def test_series_order_beyond_the_bound_is_a_usage_error(capsys, monkeypatch, arg
     def unusable(order):
         raise AssertionError("a solver ran past the series bound")
 
-    for solver in ("tree_series", "auxiliary_series", "mapping_series", "connected_series"):
+    for solver in ("tree_series", "auxiliary_series", "mapping_series", "connected_series",
+                   "connected_run_table"):
         monkeypatch.setattr(cayley_runs.series, solver, unusable)
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", f"error: {name}={_OVER} exceeds series bound {_BOUND}\n")

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,13 @@ from cayley_runs import (
     check_aux_tree_relation,
     check_exp_connected_is_mapping,
     check_mapping_from_tree_derivative,
+    connected_run_table,
     connected_series,
+    make_mapping,
     mapping_runs,
     mapping_series,
     pde_residual,
+    run_starts_mapping,
     series_count_table,
     tree_runs,
     tree_run_table,
@@ -196,6 +201,52 @@ def test_connected_series_at_one_counts_connected_mappings():
         assert sum(c.egf[n]) == brute_force_tables(n)[2].total()
 
 
+def test_connected_run_table_matches_the_sweep():
+    c = connected_series(100)  # each row of a truncation is that row of any higher one
+    for n in (*range(1, 61), 100):
+        assert connected_run_table(n) == series_count_table(c, n), n
+
+
+def test_connected_run_table_matches_brute_force():
+    for n in range(1, 8):
+        assert connected_run_table(n) == brute_force_tables(n)[2], n
+
+
+def test_connected_run_table_sums_to_the_connected_mappings():
+    for n in range(1, 301):
+        closed = sum(math.factorial(n - 1) // math.factorial(n - k) * n ** (n - k)
+                     for k in range(1, n + 1))
+        assert connected_run_table(n).total() == closed, n
+
+
+def test_the_row_formula_stops_at_fixed_point_free_mappings():
+    # e^(-T) / (1 - T), g_k = (k - 1)^k, counts them only at v = 1:
+    # a cycle longer than 1 can block a run start
+    for n, formula, brute in [(2, {2: 1}, {1: 1}), (3, {2: 6, 3: 2}, {1: 2, 2: 6})]:
+        w = series._solver_width(n)
+        row = series._unpack(series._lagrange_row(
+            n, lambda n, k: math.comb(n, k) * (k - 1) ** k * k ** (n - k), w), w)
+        assert {m: x for m, x in enumerate(row) if x} == formula
+        runs = Counter(run_starts_mapping(make_mapping(list(f))).count
+                       for f in itertools.product(range(1, n + 1), repeat=n)
+                       if all(x != i for i, x in enumerate(f, 1)))
+        assert runs == brute
+
+
+def _fraction_csv(s):
+    """The ``series`` CSV through ``coefficient`` and Fraction, as it was printed before."""
+    return "".join(f"{n},{m},{x.numerator},{x.denominator}\n"
+                   for n in range(s.order + 1) for m, x in enumerate(s.coefficient(n)) if x)
+
+
+@pytest.mark.parametrize("which, solver", [
+    ("H", auxiliary_series), ("F", tree_series), ("R", mapping_series), ("C", connected_series)])
+def test_series_csv_matches_the_fraction_path(capsys, which, solver):
+    for order in range(which == "F", 31):  # F needs order >= 1
+        assert run_cli(["series", "--which", which, "--order", str(order)]) == 0
+        assert capsys.readouterr().out == _fraction_csv(solver(order)), order
+
+
 def _plain_conv(k, a, b, js):
     """The solvers' packed convolution without its binomial weights C(k, j)."""
     return sum(a[j] * b[k - j] for j in js)
@@ -218,7 +269,7 @@ def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
     def unusable(*args):
         raise AssertionError("the series arithmetic called a solver helper")
 
-    for name in ("_binomial_conv", "_lagrange_series"):
+    for name in ("_binomial_conv", "_lagrange_series", "_lagrange_row"):
         monkeypatch.setattr(series, name, unusable)
     assert pde_residual(f).is_zero()
 
