@@ -36,6 +36,8 @@ Two width rules apply.
   the balanced digits.  Widths are rounded up to whole 32-bit steps, so
   that neighbouring rows share their operands' packs; one width for a
   whole product would pad every low row to the size of the top one.
+  Both take terms only over pairs of nonzero operand rows, so a product
+  with a one-row operand such as z, v or 1 - v makes one term per row.
 
 The solvers never iterate to a fixed point.  A and F are Lagrange
 inversion closed forms, each row a sum over k of integer weights times
@@ -109,20 +111,35 @@ def _trimmed(row) -> tuple[int, ...]:
 class _Rows:
     """The rows of one operand of a product, with their 1-norms, packed on demand.
 
+    ``nonzero`` lists the indices of the nonzero rows in increasing order.
     Packs are kept for the last width asked for, which neighbouring output
     rows often share.
     """
 
-    __slots__ = ("rows", "norms", "_w", "_packed")
+    __slots__ = ("rows", "norms", "nonzero", "_w", "_packed")
 
     def __init__(self, rows) -> None:
-        self.rows = list(rows)
-        self.norms = [sum(map(abs, p)) for p in self.rows]
+        self.rows, self.norms, self.nonzero = [], [], []
+        for row in rows:
+            self.append(row)
         self._w, self._packed = 0, {}
 
     def append(self, row) -> None:
+        norm = sum(map(abs, row))
+        if norm:
+            self.nonzero.append(len(self.rows))
         self.rows.append(row)
-        self.norms.append(sum(map(abs, row)))
+        self.norms.append(norm)
+
+    def pairs(self, other: "_Rows", k: int) -> list[tuple[int, int]]:
+        """The (j, k - j) with row j here and row k - j of other both nonzero.
+
+        Walks the side with fewer nonzero rows, so that a product with a
+        one-row operand such as z, v or 1 - v makes O(1) terms per row.
+        """
+        if len(self.nonzero) <= len(other.nonzero):
+            return [(j, k - j) for j in self.nonzero if j <= k and other.norms[k - j]]
+        return [(k - l, l) for l in other.nonzero if l <= k and self.norms[k - l]]
 
     def packed(self, j: int, w: int) -> int:
         if w != self._w:
@@ -141,10 +158,12 @@ def _vpoly_sum(terms, a: _Rows, b: _Rows) -> tuple[int, ...]:
     at the width that bound needs, rounded up to a whole step so that
     neighbouring rows reuse their packs.  Kept apart from the solvers'
     ``_binomial_conv``, so that the identity checks share no arithmetic
-    with the solvers they check beyond the codec.
+    with the solvers they check beyond the codec.  Callers pass only
+    nonzero rows (``_Rows.pairs``).
     """
+    if not terms:
+        return ()
     na, nb = a.norms, b.norms
-    terms = [(c, j, l) for c, j, l in terms if na[j] and nb[l]]
     w = -(-_width(sum(c * na[j] * nb[l] for c, j, l in terms)) // _CHECK_STEP) * _CHECK_STEP
     return _unpack(sum(c * a.packed(j, w) * b.packed(l, w) for c, j, l in terms), w)
 
@@ -247,7 +266,7 @@ class BivariateSeries:
         order = min(self.order, other.order)
         a, b = _Rows(self.egf), _Rows(other.egf)
         return BivariateSeries._of(order, [
-            _vpoly_sum([(math.comb(k, j), j, k - j) for j in range(k + 1)], a, b)
+            _vpoly_sum([(math.comb(k, j), j, l) for j, l in a.pairs(b, k)], a, b)
             for k in range(order + 1)])
 
     __rmul__ = __mul__
@@ -262,7 +281,7 @@ class BivariateSeries:
             raise ValueError("exp needs zero constant term")
         s, e = _Rows(s), _Rows([(1,)])
         for k in range(1, self.order + 1):
-            e.append(_vpoly_sum([(math.comb(k - 1, j - 1), j, k - j) for j in range(1, k + 1)], s, e))
+            e.append(_vpoly_sum([(math.comb(k - 1, j - 1), j, l) for j, l in s.pairs(e, k)], s, e))
         return BivariateSeries._of(self.order, e.rows)
 
     def diff_z(self) -> "BivariateSeries":
@@ -396,15 +415,18 @@ def pde_residual(f: BivariateSeries) -> BivariateSeries:
     """Residual of (1 - z v e^F) F_z - v (1 - v) e^F F_v - v e^F, one order lower.
 
     Identically zero exactly when f solves the run-marked tree equation.
+    Gathering the three e^F terms, the residual is F_z - e^F G with
+    G = z v F_z + v (1 - v) F_v + v.  Truncation at z^(order - 1) is a
+    ring homomorphism and every step is exact integer arithmetic, so this
+    is the same series as the three-term form, term by term, for any f:
+    e^F G is its one dense product, and the products by z v and
+    v (1 - v) act on one-row operands.
     """
-    order = f.order
-    z = BivariateSeries.z(order)
-    v = BivariateSeries.v(order)
-    one = BivariateSeries.one(order)
-    ef = f.exp()
-    lhs = (one - z * v * ef).truncate(order - 1) * f.diff_z()
-    rhs = (v * (one - v) * ef * f.diff_v() + v * ef).truncate(order - 1)
-    return lhs - rhs
+    fz = f.diff_z()
+    low = f.truncate(f.order - 1)
+    v = BivariateSeries.v(low.order)
+    g = BivariateSeries.z(low.order) * v * fz + v * (1 - v) * low.diff_v() + v
+    return fz - low.exp() * g
 
 
 def check_mapping_from_tree_derivative(order: int) -> bool:
@@ -412,7 +434,7 @@ def check_mapping_from_tree_derivative(order: int) -> bool:
     f = tree_series(order)
     r = mapping_series(order)
     z_fz = BivariateSeries._of(order, [[k * x for x in p] for k, p in enumerate(f.egf)])
-    return (r - 1 - z_fz).is_zero()
+    return r == 1 + z_fz
 
 
 def check_aux_tree_relation(order: int) -> bool:
@@ -420,14 +442,13 @@ def check_aux_tree_relation(order: int) -> bool:
     f = tree_series(order)
     a = auxiliary_series(order)
     v = BivariateSeries.v(order)
-    one = BivariateSeries.one(order)
-    return (v * a.exp() - f.exp() + one - v).is_zero()
+    return v * a.exp() + (1 - v) == f.exp()
 
 
 def check_exp_connected_is_mapping(order: int) -> bool:
     """exp(C) = R.  Both sweep over the one 1 - T read off A, so this holds for any A:
     it tests the solvers' log and reciprocal sweeps against ``BivariateSeries.exp``."""
-    return (connected_series(order).exp() - mapping_series(order)).is_zero()
+    return connected_series(order).exp() == mapping_series(order)
 
 
 def _connected_mappings(k: int) -> int:

@@ -17,6 +17,7 @@ from cayley_runs import (
     connected_run_table,
     connected_series,
     make_mapping,
+    mapping_run_table,
     mapping_runs,
     mapping_series,
     pde_residual,
@@ -165,6 +166,35 @@ def test_pde_residual_negative_control():
     assert not residual.is_zero()
     low = next(k for k, p in enumerate(residual.egf) if p)
     assert low <= 2
+
+
+def _three_term_residual(f):
+    """(1 - z v e^F) F_z - v (1 - v) e^F F_v - v e^F, one order lower, in seven products."""
+    order = f.order
+    z = BivariateSeries.z(order)
+    v = BivariateSeries.v(order)
+    one = BivariateSeries.one(order)
+    ef = f.exp()
+    lhs = (one - z * v * ef).truncate(order - 1) * f.diff_z()
+    rhs = (v * (one - v) * ef * f.diff_v() + v * ef).truncate(order - 1)
+    return lhs - rhs
+
+
+def test_pde_residual_is_the_three_term_form():
+    # F_z - e^F G is the three-term residual gathered, so the two are the same series,
+    # not merely zero together: on solutions, on non-solutions and on a perturbed F
+    for order in range(1, 21):
+        f = tree_series(order)
+        assert pde_residual(f) == _three_term_residual(f), order
+    for order in range(2, 9):
+        a = auxiliary_series(order)
+        residual = pde_residual(a)
+        assert residual == _three_term_residual(a) and not residual.is_zero(), order
+    rows = [list(p) for p in tree_series(8).egf]
+    rows[4][2] += 1
+    f = BivariateSeries(8, rows)
+    residual = pde_residual(f)
+    assert residual == _three_term_residual(f) and not residual.is_zero()
 
 
 def test_structural_checks():
@@ -436,6 +466,49 @@ def test_product_and_exp_match_the_naive_loops(rows_a, rows_b):
     assert a * b == _naive_mul(a, b)
     s = BivariateSeries(order, [()] + rows_a[1:])
     assert s.exp() == _naive_exp(s)
+
+
+def _sparse_operands(order):
+    """z, v, 1 - v, v (1 - v), z v and zero, written out as rows."""
+    return [BivariateSeries(order, rows) for rows in (
+        [(), (1,)], [(0, 1)], [(1, -1)], [(0, 1, -1)], [(), (0, 1)], [])]
+
+
+def test_sparse_products_match_the_definition():
+    # the product skips zero rows; the definition sums over every j.  R has a nonzero row 0
+    for order in (0, 1, 5, 12):
+        dense = [tree_series(max(order, 1)).truncate(order), auxiliary_series(order),
+                 mapping_series(order)]
+        operands = _sparse_operands(order) + dense
+        for a, b in itertools.product(operands, repeat=2):
+            assert a * b == _naive_mul(a, b) == b * a
+    for (p, a), (q, b) in itertools.combinations([
+            (9, tree_series), (6, BivariateSeries.z), (5, auxiliary_series), (8, BivariateSeries.v)], 2):
+        x, y = a(p), b(q)
+        assert (x * y).order == min(p, q)
+        assert x * y == _naive_mul(x, y) == y * x
+
+
+def test_a_one_row_operand_makes_one_term_per_row(monkeypatch):
+    calls = []
+    vpoly_sum = series._vpoly_sum
+    monkeypatch.setattr(series, "_vpoly_sum",
+                        lambda terms, a, b: calls.append(len(terms)) or vpoly_sum(terms, a, b))
+    f = tree_series(30)
+    for one_row in _sparse_operands(30):
+        for left, right in ((one_row, f), (f, one_row)):
+            calls.clear()
+            left * right
+            assert sum(calls) <= 30, one_row  # the definition has 496 terms
+
+
+def test_the_lagrange_row_of_r_is_the_mapping_stirling_table():
+    # R = 1/(1 - T) has g_k = k^k, so row n of R is one Lagrange row
+    for n in (*range(1, 41), 100):
+        w = series._solver_width(n)
+        row = series._unpack(series._lagrange_row(n, lambda n, k: math.comb(n, k) * k ** n, w), w)
+        values = mapping_run_table(n).values
+        assert row == (0, *(values[m] for m in range(1, n + 1))), n
 
 
 def test_solvers_at_orders_near_the_width_match_closed_forms():
