@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 from .exact import DEFAULT_EXHAUSTIVE_BOUND
 
 # the largest order the series commands accept: verify-series at order 100
-# takes about 11-15 s as a process on a 2-core x86-64 machine, most of it
-# in the identity checks and the mapping and connected sweeps
+# takes about 5-6 s as a process on a 2-core x86-64 machine, most of it
+# in the identity checks and the connected sweep
 SERIES_BOUND = 100
 # the largest n the closed-form tree and mapping tables accept: at n = 1000
 # the table takes about 0.35 s as a process on the same machine, and from

@@ -4,8 +4,7 @@ Every series here counts labelled objects, so it is held in one format:
 its EGF integers.  A series truncated at order N in the size variable z
 stores, for each n <= N, the integers n! [z^n v^m] as a polynomial in the
 run-marking variable v.  No floating point and no rational arithmetic
-enters this module; fractions appear only where ``coefficient`` returns
-[z^n v^m] itself, for output.
+enters this module.
 
 Polynomials in v are multiplied by Kronecker substitution: a row p is
 packed as the integer p(2^w), so p q is one big-integer product, and the
@@ -22,10 +21,11 @@ Two width rules apply.
   w = _width(N^N), and unpack only the rows they return.  So only the
   returned rows must fit, and each has nonnegative coefficients summing
   to at most n^n <= N^N: trees sum to n^(n-1), A at v = 1 is the tree
-  function, mappings sum to n^n and connected mappings to at most n^n.
-  The signed Horner intermediates of A's and F's closed forms are never
-  unpacked, so their sizes do not matter; the other sweeps hold returned
-  rows only.  Each solver is a sweep over packed rows run by ``_solved``;
+  function, and connected mappings sum to at most n^n.  The signed
+  Horner intermediates of A's and F's closed forms are never unpacked,
+  so their sizes do not matter; C's sweep holds returned rows only.
+  A, F and C are sweeps over packed rows run by ``_solved``; R packs
+  nothing, as it is read off A's unpacked rows, and
   ``connected_run_table`` packs its one row n at the width of order n.
 * The checks' product and exponential pack each output row k at its own
   width, from the operands' 1-norms: every coefficient of row k of AB
@@ -41,13 +41,14 @@ Two width rules apply.
 
 The solvers never iterate to a fixed point.  A and F are Lagrange
 inversion closed forms, each row a sum over k of integer weights times
-v^k (1 - v)^(n-k); R and C compute each coefficient once, in increasing
-n, from lower ones by binomial convolutions over T read off A (online
-evaluation of the functional equation).  All return their integer rows
-as a BivariateSeries.  The identity checks use the BivariateSeries
-arithmetic, whose EGF product and exponential are coded apart from the
-solvers' helpers, with their own width rule: a second, independent
-implementation that shares only the codec.
+v^k (1 - v)^(n-k).  R is read off A's rows, two terms per coefficient.
+C computes each coefficient once, in increasing n, from lower ones by a
+binomial convolution over T read off A (online evaluation of the
+functional equation).  All return their integer rows as a
+BivariateSeries.  The identity checks use the BivariateSeries arithmetic,
+whose EGF product and exponential are coded apart from the solvers'
+helpers, with their own width rule: a second, independent implementation
+that shares only the codec.
 
 The four generating functions handled here, with counts recovered as
 n! [z^n v^m]:
@@ -58,17 +59,17 @@ n! [z^n v^m]:
   e^F = v e^A + 1 - v, F is a function of A, and both come from one
   Lagrange inversion step per coefficient,
 * mapping_series     is  1 / (1 - z v e^A),  counting mappings by runs,
+  read off A as 1 + v (1 - v) dA/dv + v z dA/dz,
 * connected_series   is  ln 1 / (1 - z v e^A),  counting connected mappings by
   runs: the paper's ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) reduced.
-  Both read T = z v e^A = A - (1 - v) z off A, so no solver computes
-  e^A, and exp(C) = R holds for any A.  ``connected_run_table`` computes
-  one row of C as a Lagrange row, as for A and F, without the sweep.
+  It reads T = z v e^A = A - (1 - v) z off A, so no solver computes e^A.
+  ``connected_run_table`` computes one row of C as a Lagrange row, as
+  for A and F, without the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exact import CountTable
 
@@ -221,21 +222,12 @@ class BivariateSeries:
     def is_zero(self) -> bool:
         return not any(self.egf)
 
-    def coefficient(self, n: int) -> tuple[Fraction, ...]:
-        """[z^n v^m] for m = 0, 1, ..., as exact rationals."""
-        row = self._row(n)
-        fact = math.factorial(n)
-        return tuple(Fraction(x, fact) for x in row)
-
     def count(self, n: int, m: int) -> int:
         """n! [z^n v^m]."""
-        row = self._row(n)
-        return row[m] if 0 <= m < len(row) else 0
-
-    def _row(self, n: int) -> tuple[int, ...]:
         if not 0 <= n <= self.order:
             raise IndexError(f"z-order {n} outside truncation {self.order}")
-        return self.egf[n]
+        row = self.egf[n]
+        return row[m] if 0 <= m < len(row) else 0
 
     def _lift(self, other) -> "BivariateSeries":
         return BivariateSeries(self.order, [(other,)]) if isinstance(other, int) else other
@@ -381,16 +373,22 @@ def tree_series(order: int) -> BivariateSeries:
 def mapping_series(order: int) -> BivariateSeries:
     """Run-marked mapping series 1 / (1 - z v e^A) with A the auxiliary series.
 
-    By A's equation T = z v e^A = A - (1 - v) z, so t_j = j! [z^j] T is v for j = 1
-    and a_j for j >= 2.  R = 1 + T R gives r_n = sum_{j=1..n} C(n, j) t_j r_{n-j}.
+    R = 1 + v (1 - v) dA/dv + v z dA/dz, so r_0 = 1 and, for n >= 1,
+    n! [z^n v^m] R = m a_(n,m) + (n - m + 1) a_(n,m-1).  Proof: row n of A
+    is sum_k w_k v^k (1 - v)^(n-k) with w_k = C(n, k) k^(n-1)
+    (``auxiliary_series``).  R = 1/(1 - T) is a function of T with
+    g_k = k! [y^k] R = k^k, so as in ``connected_run_table`` its row n is
+    sum_k C(n, k) k^n v^k (1 - v)^(n-k): A's row with weights k w_k.  For
+    h = v^k (1 - v)^(n-k), v (1 - v) h' = k h - n v h, so
+    v (1 - v) h' + n v h = k h multiplies each weight by k, and
+    n! [z^n] of v z dA/dz is n v times row n of A.  Reading off v^m gives
+    the identity.
     """
-    def sweep(v, a):
-        t = [0, v, *a]
-        r = [1]
-        for n in range(1, order + 1):
-            r.append(_binomial_conv(n, t, r, range(1, n + 1)))
-        return r
-    return _solved(order, sweep, auxiliary_series(order).egf[2:])
+    rows = [(1,)]
+    for n, a in enumerate(auxiliary_series(order).egf[1:], 1):
+        a = (0, *a, 0)  # a[m] is a_(n,m-1)
+        rows.append([m * a[m + 1] + (n - m + 1) * a[m] for m in range(len(a) - 1)])
+    return BivariateSeries._of(order, rows)
 
 
 def connected_series(order: int) -> BivariateSeries:
@@ -399,7 +397,8 @@ def connected_series(order: int) -> BivariateSeries:
     By A's equation A = z (v e^A + 1 - v), the paper's form
     ln((v e^A + 1 - v) / (v e^A (1 - A) + 1 - v)) has numerator A/z and
     denominator A/z - v e^A A = (A/z) (1 - T), T = z v e^A.  So (1 - T) C' = T',
-    and with t_j read off A as in ``mapping_series``,
+    and by A's equation again T = A - (1 - v) z, so t_j = j! [z^j] T is v
+    for j = 1 and a_j for j >= 2, and
     c_k = t_k + sum_{j=1..k-1} C(k-1, j) t_j c_{k-j}.
     """
     def sweep(v, a):
@@ -446,8 +445,9 @@ def check_aux_tree_relation(order: int) -> bool:
 
 
 def check_exp_connected_is_mapping(order: int) -> bool:
-    """exp(C) = R.  Both sweep over the one 1 - T read off A, so this holds for any A:
-    it tests the solvers' log and reciprocal sweeps against ``BivariateSeries.exp``."""
+    """exp(C) = R.  C sweeps over the 1 - T read off A, and R is A's rows through an
+    identity of the true A, so this tests C's log sweep against ``BivariateSeries.exp``
+    and R's identity, and a wrong A fails it too."""
     return connected_series(order).exp() == mapping_series(order)
 
 

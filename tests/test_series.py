@@ -58,8 +58,8 @@ def test_series_arithmetic_identities():
     low = order - 1
     assert (a * b).diff_z() == a.diff_z() * b.truncate(low) + a.truncate(low) * b.diff_z()
     assert (a * b).diff_v() == a.diff_v() * b + a * b.diff_v()
-    assert a.diff_v().coefficient(1) == (1,)
-    assert a.coefficient(2) == (0, 0, 1)
+    assert a.diff_v().count(1, 0) == 1
+    assert [a.count(2, m) for m in range(4)] == [0, 0, 2, 0]
 
 
 def test_series_guards():
@@ -77,7 +77,7 @@ def test_series_guards():
     with pytest.raises(IndexError):
         z.count(order + 1, 0)
     with pytest.raises(IndexError):
-        z.coefficient(-1)
+        z.count(-1, 0)
 
 
 def test_constructor_requires_integers():
@@ -92,7 +92,7 @@ def test_auxiliary_series_hand_coefficients():
     assert h.egf[1] == (1,)
     assert h.egf[2] == (0, 2)  # 2! v
     assert h.egf[3] == (0, 3, 6)  # 3! (v/2 + v^2)
-    assert h.coefficient(3) == (0, F(1, 2), 1)
+    assert [h.count(3, m) for m in range(-1, 5)] == [0, 0, 3, 6, 0, 0]
 
 
 def test_auxiliary_series_matches_lagrange_inversion():
@@ -264,9 +264,10 @@ def test_the_row_formula_stops_at_fixed_point_free_mappings():
 
 
 def _fraction_csv(s):
-    """The ``series`` CSV through ``coefficient`` and Fraction, as it was printed before."""
+    """The ``series`` CSV through Fraction, as it was printed before."""
     return "".join(f"{n},{m},{x.numerator},{x.denominator}\n"
-                   for n in range(s.order + 1) for m, x in enumerate(s.coefficient(n)) if x)
+                   for n in range(s.order + 1)
+                   for m, x in enumerate(F(c, math.factorial(n)) for c in s.egf[n]) if x)
 
 
 @pytest.mark.parametrize("which, solver", [
@@ -282,13 +283,28 @@ def _plain_conv(k, a, b, js):
     return sum(a[j] * b[k - j] for j in js)
 
 
+def _mapping_series_without_the_shift_term(order):
+    """``mapping_series`` with the (n - m + 1) a_(n,m-1) term of its identity dropped."""
+    rows = [(1,)] + [[m * x for m, x in enumerate(a)] for a in auxiliary_series(order).egf[1:]]
+    return BivariateSeries(order, rows)
+
+
 def test_checks_are_independent_of_the_solvers(capsys, monkeypatch):
     # the identity checks run on BivariateSeries arithmetic, not on the solvers'
-    # helpers, so a fault in those helpers must fail the checks of what it computes
+    # helpers, so a fault in those helpers must fail the checks of what it computes:
+    # the convolution is C's sweep alone, and R's identity reaches both checks of R
     assert run_cli(["verify-series", "--order", "8"]) == 0
     assert capsys.readouterr().out.count("PASS ") == 4
     f = tree_series(8)
-    monkeypatch.setattr(series, "_binomial_conv", _plain_conv)
+    with monkeypatch.context() as m:
+        m.setattr(series, "_binomial_conv", _plain_conv)
+        assert run_cli(["verify-series", "--order", "8"]) == 1
+        assert capsys.readouterr().out == (
+            "PASS pde-residual-zero\n"
+            "PASS mapping-equals-1-plus-z-dF\n"
+            "PASS aux-tree-relation\n"
+            "FAIL exp-connected-equals-mapping\n")
+    monkeypatch.setattr(series, "mapping_series", _mapping_series_without_the_shift_term)
     assert run_cli(["verify-series", "--order", "8"]) == 1
     assert capsys.readouterr().out == (
         "PASS pde-residual-zero\n"
@@ -365,17 +381,18 @@ def _reference_connected_series(order):
 
 
 def test_solvers_match_the_exponential_reference():
-    # v e^A read off A's own equation gives the series that recomputing e^A gives, and
-    # ln 1/(1 - T) the paper's two-log form; at order 60 the top rows come within a few
-    # bits of the packing width
+    # R read off A's rows gives the series that recomputing e^A gives, and ln 1/(1 - T)
+    # the paper's two-log form; at order 60 the top rows come within a few bits of the
+    # packing width
     for order in (*range(31), 60):
         assert mapping_series(order) == _reference_mapping_series(order)
         assert connected_series(order) == _reference_connected_series(order)
 
 
-def test_a_wrong_auxiliary_series_fails_checks_2_and_3(capsys, monkeypatch):
-    # exp(C) = R holds for any A, as both are sweeps over the 1 - T read off A, so only
-    # the checks that re-derive A's relations can see a wrong A; check 4 alone cannot
+def test_a_wrong_auxiliary_series_fails_checks_2_3_and_4(capsys, monkeypatch):
+    # R is read off A through an identity of the true A's rows, so exp(C) = R sees a
+    # wrong A as well as the checks that re-derive A's relations; only the PDE, which
+    # reads F alone, passes
     aux = series.auxiliary_series
 
     def perturbed(order):
@@ -390,7 +407,7 @@ def test_a_wrong_auxiliary_series_fails_checks_2_and_3(capsys, monkeypatch):
         "PASS pde-residual-zero\n"
         "FAIL mapping-equals-1-plus-z-dF\n"
         "FAIL aux-tree-relation\n"
-        "PASS exp-connected-equals-mapping\n")
+        "FAIL exp-connected-equals-mapping\n")
 
 
 def test_exp_connected_check_catches_a_wrong_denominator():
@@ -503,16 +520,20 @@ def test_a_one_row_operand_makes_one_term_per_row(monkeypatch):
 
 
 def test_the_lagrange_row_of_r_is_the_mapping_stirling_table():
-    # R = 1/(1 - T) has g_k = k^k, so row n of R is one Lagrange row
+    # R = 1/(1 - T) has g_k = k^k, so row n of R is one Lagrange row, and
+    # mapping_series reads the same rows off A
+    r = mapping_series(100)  # each row of a truncation is that row of any higher one
     for n in (*range(1, 41), 100):
         w = series._solver_width(n)
         row = series._unpack(series._lagrange_row(n, lambda n, k: math.comb(n, k) * k ** n, w), w)
-        values = mapping_run_table(n).values
-        assert row == (0, *(values[m] for m in range(1, n + 1))), n
+        table = mapping_run_table(n)
+        assert row == (0, *(table.values[m] for m in range(1, n + 1))), n
+        assert series_count_table(r, n) == table, n
 
 
 def test_solvers_at_orders_near_the_width_match_closed_forms():
-    # the top mapping row of each order comes within 3 bits of the proved packing width
+    # the top mapping row of each order, whose sum n^n is the bound the packing width is
+    # proved for, comes within 3 bits of that width
     orders = range(31, 61)
     for order in orders:
         top = mapping_series(order).egf[order]
