@@ -5,7 +5,9 @@ stderr.  Exit codes: 0 success (and all checks passed for the verify
 subcommands), 1 check failure, 2 usage errors.  numpy, ``kernels`` and
 ``montecarlo`` are imported only by ``mc`` and the ``verify-all``
 helpers (``table --oracle`` loads them through ``exact``), so every
-other command starts without numpy.
+other command starts without numpy.  ``mc``, ``table --oracle`` and
+``verify-all`` share the ``--workers`` flag and ``kernels.pooled_sum``;
+their output does not depend on the worker count.
 
 The argument parser is built once per process and reused by every
 ``run_cli`` call: ``parse_args`` makes a fresh namespace each time, the
@@ -113,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify-all", help="exhaustive small-size verification suite")
     q.add_argument("--n-max", type=int, default=6)
+    add_workers(q)
 
     return p
 
@@ -269,20 +272,29 @@ def _cmd_mc(args, cfg: Config) -> int:
 
 
 def _cmd_verify_all(args, cfg: Config) -> int:
-    return _report(_exhaustive_checks(args.n_max, cfg.exhaustive_bound))
+    return _report(_exhaustive_checks(args.n_max, cfg.exhaustive_bound, args.workers))
 
 
 _VERIFY_CELLS = 1 << 14  # cells per verify-all block: its checks peak under 1 MiB
 
 
-def _array_blocks(n: int):
-    """Every array of [n]^n in ``itertools.product`` order, in blocks of <= _VERIFY_CELLS cells."""
+def _verify_step(n: int) -> int:
+    """Rows in one verify-all block: at most _VERIFY_CELLS cells, and at least one row."""
+    return max(1, _VERIFY_CELLS // n)
+
+
+def _array_blocks(n: int, lo: int = 0, hi: int | None = None):
+    """Arrays lo, ..., hi - 1 of [n]^n in ``itertools.product`` order (hi = n^n when None).
+
+    A block holds ``_verify_step(n)`` rows, the last one fewer, so a range
+    that starts on a block boundary yields the blocks a whole scan does.
+    """
     import numpy as np
 
-    step = max(1, _VERIFY_CELLS // n)
+    step, hi = _verify_step(n), n ** n if hi is None else hi
     place = n ** np.arange(n - 1, -1, -1)
-    for start in range(0, n ** n, step):
-        rows = np.arange(start, min(start + step, n ** n))[:, None]
+    for start in range(lo, hi, step):
+        rows = np.arange(start, min(start + step, hi))[:, None]
         yield (rows // place % n + 1).astype(np.min_scalar_type(n))
 
 
@@ -300,6 +312,8 @@ def _check_block(images) -> tuple[bool, bool, bool]:
     row, which the decoder must accept exactly when it re-encodes to
     itself.  Row 0 also goes through the scalar functions behind
     ``phi-inv``, ``runs`` and ``partition encode``, which must agree.
+    The blocks of one n are the same for any worker count, so the same
+    rows take the scalar path.
     """
     import numpy as np
 
@@ -333,16 +347,39 @@ def _check_block(images) -> tuple[bool, bool, bool]:
     return bool(round_trip), bool(same_runs), bool(partition)
 
 
-def _exhaustive_checks(n_max: int, bound: int):
-    """(name, passed) for each exhaustive check, yielded as it finishes; n_max is checked first."""
+def _check_range(n: int, lo: int, hi: int):
+    """Blocks of arrays [lo, hi) of [n]^n that fail each ``_check_block`` check, as an int array.
+
+    A pool job: it builds its own arrays from the range, so only three
+    integers come back, and ``kernels.pooled_sum`` adds the jobs' counts.
+    """
+    import numpy as np
+
+    failed = np.zeros(3, dtype=np.int64)
+    for images in _array_blocks(n, lo, hi):
+        failed += np.logical_not(_check_block(images))
+    return failed
+
+
+def _exhaustive_checks(n_max: int, bound: int, workers: int = 1):
+    """(name, passed) for each exhaustive check, yielded as it finishes; n_max is checked first.
+
+    The bijection checks for each n cut its ``_array_blocks`` into one
+    contiguous run of whole blocks per process (``kernels.block_runs``, as
+    for a ``mc --trees`` chunk), so every block and its scalar row 0 are
+    those of a one-process scan.  A check passes when no job counts a
+    failed block.  Up to n = 5 one block holds every array, so no pool
+    starts; the oracle tables and pair counts run in this process.
+    """
     if n_max < 1:
         raise ValueError(f"n-max={n_max} must be positive")
     if n_max > bound:
         raise exact.SizeTooLargeError(f"n-max={n_max} exceeds exhaustive bound {bound}")
+    from . import kernels
+
     for n in range(1, n_max + 1):
-        good = [True, True, True]
-        for images in _array_blocks(n):
-            good = [g and ok for g, ok in zip(good, _check_block(images))]
+        jobs = [(n, lo, hi) for lo, hi in kernels.block_runs(n ** n, _verify_step(n), workers)]
+        good = (kernels.pooled_sum(_check_range, jobs, workers) == 0).tolist()
         yield f"bijection-round-trip n={n}", good[0]
         yield f"run-preservation n={n}", good[1]
         yield f"partition-round-trip n={n}", good[2]

@@ -22,7 +22,10 @@ DEFAULT_EXHAUSTIVE_BOUND = 7
 # In-process on a 2-core x86-64 box (numpy 2.4), one worker against a pool of two:
 # n = 7 (8.2e5 arrays) 5-8 ms against 14-27 ms, n = 8 (1.7e7) 0.08-0.12 s against
 # 0.06-0.10 s, and n = 9 (3.9e8) 2.7-2.9 s against 1.6 s.  A job holds 2^25 arrays,
-# between the sizes of n = 8 and n = 9: n = 8 is one job, and n = 9 is twelve.
+# between the sizes of n = 8 and n = 9: n = 8 is one job, and n = 9 is twelve.  As a
+# process, `table --kind tree --n 8 --oracle --max-size 8 --workers 2` took a median
+# 0.219-0.222 s at 2^25 against 0.209-0.214 s at 2^23 (two jobs), 12 alternating runs
+# twice: 1.04-1.05x, too little to pay for a pool start on every n = 8 scan.
 _JOB_ARRAYS = 1 << 25
 
 

@@ -19,8 +19,11 @@ block index.
 ``run_counts`` scatters in row blocks of at most ``_BLOCK_CELLS`` cells,
 so its temporaries stay in cache and its memory does not grow with the
 rows; ``block_rows`` is that rule, and the Monte Carlo sampler draws by
-it too.  ``pooled_sum`` spreads such batched work over worker processes,
-and ``pool_size`` says how many it starts.
+it too.  ``pooled_sum`` spreads such batched work over worker processes
+(the oracle's prefix jobs, the Monte Carlo chunks and ``verify-all``'s
+array blocks), and ``pool_size`` says how many it starts;
+``block_runs`` cuts rows into one run of whole blocks per process, for
+``mc --trees`` chunks and ``verify-all``.
 
 The brute-force oracle's array engine lives here too: ``_tally_blocks``
 tallies every array with given prefixes through the tables of
@@ -61,6 +64,18 @@ def pooled_sum(func, jobs: list[tuple], workers: int):
         return sum(func(*job) for job in jobs)
     with multiprocessing.Pool(processes) as pool:
         return sum(pool.starmap(func, jobs))
+
+
+def block_runs(rows: int, step: int, workers: int) -> list[tuple[int, int]]:
+    """Rows [0, rows) as one contiguous run of whole ``step``-row blocks per process.
+
+    ``pool_size(workers, blocks)`` runs; the cuts fall on block boundaries,
+    so the runs hold the blocks of one pass over all the rows.
+    """
+    blocks = -(-rows // step)
+    parts = pool_size(workers, blocks)
+    cuts = [min(rows, blocks * j // parts * step) for j in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _smaller_preimage_marks(block: np.ndarray) -> np.ndarray:

@@ -102,11 +102,8 @@ def _chunk_layout(n: int, samples: int) -> list[int]:
 
 def _chunk_jobs(n: int, rows: int, seed_seq, use_trees: bool, workers: int) -> list[tuple]:
     """``_chunk_histogram`` jobs for one chunk: whole for mappings, runs of whole blocks for trees."""
-    step = kernels.block_rows(rows, n)
-    blocks = -(-rows // step)
-    parts = kernels.pool_size(workers, blocks) if use_trees else 1
-    cuts = [min(rows, blocks * j // parts * step) for j in range(parts + 1)]
-    return [(n, stop, seed_seq, use_trees, start) for start, stop in zip(cuts, cuts[1:])]
+    runs = kernels.block_runs(rows, kernels.block_rows(rows, n), workers if use_trees else 1)
+    return [(n, stop, seed_seq, use_trees, start) for start, stop in runs]
 
 
 def _chunk_histogram(n: int, stop: int, seed_seq, use_trees: bool, start: int = 0) -> np.ndarray:

@@ -320,6 +320,7 @@ def test_verify_all_detects_a_wrong_kernel(capsys, monkeypatch, kernel, mutate, 
     ["mc", "--n", "10", "--samples", "10", "--workers", "-3"],
     ["table", "--oracle", "--kind", "mapping", "--n", "7", "--workers", "0"],
     ["table", "--kind", "mapping", "--n", "3", "--workers", "0"],
+    ["verify-all", "--n-max", "3", "--workers", "0"],
 ])
 def test_workers_below_one_is_a_usage_error(capsys, argv):
     assert run_cli(argv) == 2

@@ -254,6 +254,51 @@ def test_oracle_deals_one_job_per_process(monkeypatch):
     assert _SerialPool.jobs == [2]
 
 
+def test_verify_all_deals_runs_of_whole_blocks_one_job_per_process(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "jobs", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    ranges, check_range = [], cli._check_range
+
+    def watched(n, lo, hi):
+        ranges.append((n, lo, hi))
+        return check_range(n, lo, hi)
+
+    monkeypatch.setattr(cli, "_check_range", watched)
+    assert all(passed for _, passed in cli._exhaustive_checks(6, 7, workers=3))
+    # n <= 5 is one block, scanned in this process; n = 6 is 18 blocks of 2,730 rows
+    assert ranges == [(n, 0, n ** n) for n in range(1, 6)] + [
+        (6, 0, 16_380), (6, 16_380, 32_760), (6, 32_760, 6 ** 6)]
+    assert _SerialPool.sizes == [3] and _SerialPool.jobs == [3]
+    # the jobs' blocks are the blocks of one whole scan, so each keeps its scalar row 0
+    dealt = [b for _, lo, hi in ranges[5:] for b in cli._array_blocks(6, lo, hi)]
+    whole = list(cli._array_blocks(6))
+    assert len(dealt) == len(whole) == 18
+    assert all(np.array_equal(a, b) for a, b in zip(dealt, whole))
+
+
+@pytest.mark.parametrize("check", range(3))
+def test_verify_all_fails_when_only_the_last_pooled_block_fails(monkeypatch, capsys, check):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    check_block = cli._check_block
+
+    def wrong(images):
+        verdicts = list(check_block(images))
+        if images.shape[1] == 6 and (images[-1] == 6).all():  # the last block of [6]^6
+            verdicts[check] = False
+        return tuple(verdicts)
+
+    monkeypatch.setattr(cli, "_check_block", wrong)
+    assert cli.run_cli(["verify-all", "--n-max", "6", "--workers", "2"]) == 1
+    names = ["bijection-round-trip", "run-preservation", "partition-round-trip"]
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("PASS ")] == [f"FAIL {names[check]} n=6"]
+    assert _SerialPool.sizes == [2]
+
+
 class _PoolStarted(Exception):
     pass
 
@@ -281,8 +326,15 @@ def test_oracle_pools_twelve_jobs_at_n9(monkeypatch, workers, processes):
 
 def test_pools_work_under_spawn():
     script = textwrap.dedent("""
-        import multiprocessing
+        import contextlib, io, multiprocessing
         from cayley_runs import brute_force_tables, exact, run_statistics
+        from cayley_runs.cli import run_cli
+
+        def verify_all(workers):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run_cli(["verify-all", "--n-max", "6", "--workers", workers]) == 0
+            return out.getvalue()
 
         if __name__ == "__main__":
             multiprocessing.set_start_method("spawn")
@@ -292,6 +344,7 @@ def test_pools_work_under_spawn():
                     == run_statistics(1000, 5000, seed=9))
             assert (run_statistics(300, 3000, seed=9, workers=2, use_trees=True)
                     == run_statistics(300, 3000, seed=9))
+            assert verify_all("2") == verify_all("1")
             print("ok")
     """)
     src = str(Path(cayley_runs.__file__).resolve().parents[1])
