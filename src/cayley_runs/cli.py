@@ -310,10 +310,12 @@ def _check_block(images) -> tuple[bool, bool, bool]:
     The round trips must give valid trees (one cycle, a fixed point) and
     valid pairs back.  Each link shifted by one gives a second pair per
     row, which the decoder must accept exactly when it re-encodes to
-    itself.  Row 0 also goes through the scalar functions behind
-    ``phi-inv``, ``runs`` and ``partition encode``, which must agree.
-    The blocks of one n are the same for any worker count, so the same
-    rows take the scalar path.
+    itself; both link arrays are decoded through one set of partition
+    tables.  Row 0 also goes through the scalar functions behind
+    ``phi-inv``, ``phi``, ``runs`` and ``partition encode`` and
+    ``decode``, which must agree with the kernels and map it back to
+    itself.  The blocks of one n are the same for any worker count, so the
+    same rows take the scalar path.
     """
     import numpy as np
 
@@ -321,29 +323,34 @@ def _check_block(images) -> tuple[bool, bool, bool]:
 
     n = images.shape[1]
     parents, marks = kernels.mapping_to_tree(images)
-    one_root = np.count_nonzero(parents == np.arange(1, n + 1), axis=1) == 1
-    round_trip = ((kernels.cycles(parents)[1] == 1) & one_root).all() and np.array_equal(
+    # with one cycle, a row with a fixed point has one root
+    rooted = kernels.any_per_row(parents == np.arange(1, n + 1, dtype=parents.dtype))
+    round_trip = ((kernels.cycles(parents)[1] == 1) & rooted).all() and np.array_equal(
         kernels.tree_to_mapping(parents, marks), images)
     starts = kernels.run_starts(images)
     same_runs = np.array_equal(kernels.run_starts(parents), starts)
     blocks, links = kernels.encode_partition(images)
-    back, valid = kernels.decode_partition(blocks, links)
+    tables = kernels.partition_tables(blocks)
+    back, valid = kernels.decode_links(tables, links)
     partition = valid.all() and np.array_equal(back, images)
-    shifted = np.where(links > 0, links % n + 1, 0)
-    back, valid = kernels.decode_partition(blocks, shifted)
+    shifted = links + (links > 0)  # each link moved on by one, n round to 1
+    shifted[shifted > n] = 1
+    back, valid = kernels.decode_links(tables, shifted)
     again, again_links = kernels.encode_partition(back)
     moved = kernels.any_per_row((again != blocks) | (again_links != shifted))
     partition &= np.array_equal(valid, ~moved)
 
     m = core.make_mapping(images[0].tolist())
     mt = bijections.mapping_to_tree(m)
-    round_trip &= (mt.tree.parent, mt.mark) == (tuple(parents[0].tolist()), marks[0])
+    round_trip &= ((mt.tree.parent, mt.mark) == (tuple(parents[0].tolist()), marks[0])
+                   and bijections.tree_to_mapping(mt) == m)
     same_runs &= (runs.run_starts_mapping(m).starts == runs.run_starts_tree(mt.tree).starts
                   == _labels(starts[0]))
     scalar_partition, scalar_links = bijections.encode_partition(m)
     partition &= (scalar_links == tuple(links[0, :len(scalar_links)].tolist())
                   and list(scalar_partition.blocks)
-                  == [_labels(blocks[0] == b) for b in range(len(scalar_links))])
+                  == [_labels(blocks[0] == b) for b in range(len(scalar_links))]
+                  and bijections.decode_partition(scalar_partition, scalar_links) == m)
     return bool(round_trip), bool(same_runs), bool(partition)
 
 

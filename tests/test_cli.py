@@ -294,18 +294,33 @@ def _shift_first_link(real):
 
 
 def _accept_a_forbidden_pair(real):
-    def wrong(blocks, links):
-        images, valid = real(blocks, links)
+    def wrong(tables, links):
+        images, valid = real(tables, links)
         valid[np.argmin(valid)] = True  # the first rejected pair, if any
         return images, valid
     return wrong
 
 
+def _reuse_the_first_verdicts(real):
+    """Decodes each link array, but hands back the first array's verdicts for the same tables."""
+    first = [None, None]  # the last tables seen, and their first verdicts
+
+    def wrong(tables, links):
+        images, valid = real(tables, links)
+        if first[0] is tables:
+            return images, first[1]
+        first[:] = tables, valid
+        return images, valid
+    return wrong
+
+
+# verify-all decodes through kernels.decode_links, so its mutants sit there
 @pytest.mark.parametrize("kernel, mutate, check", [
     ("mapping_to_tree", _swap_first_two_parents, "bijection-round-trip"),
     ("run_starts", _flip_last_start, "run-preservation"),
     ("encode_partition", _shift_first_link, "partition-round-trip"),
-    ("decode_partition", _accept_a_forbidden_pair, "partition-round-trip"),
+    ("decode_links", _accept_a_forbidden_pair, "partition-round-trip"),
+    ("decode_links", _reuse_the_first_verdicts, "partition-round-trip"),
 ])
 def test_verify_all_detects_a_wrong_kernel(capsys, monkeypatch, kernel, mutate, check):
     from cayley_runs import kernels
@@ -314,6 +329,30 @@ def test_verify_all_detects_a_wrong_kernel(capsys, monkeypatch, kernel, mutate, 
     code, out = run(capsys, "verify-all", "--n-max", "4")
     assert code == 1
     assert any(line.startswith(f"FAIL {check} n=") for line in out.splitlines())
+
+
+def _map_the_last_node_to_itself(real):
+    def wrong(*args):
+        m = real(*args)
+        return type(m)(n=m.n, image=(*m.image[:-1], m.n))
+    return wrong
+
+
+@pytest.mark.parametrize("inverse, check", [
+    ("tree_to_mapping", "bijection-round-trip"),
+    ("decode_partition", "partition-round-trip"),
+])
+def test_verify_all_runs_the_scalar_inverses(capsys, monkeypatch, inverse, check):
+    # row 0 of each block goes back through the scalar inverse of each bijection
+    from cayley_runs import bijections
+
+    monkeypatch.setattr(bijections, inverse, _map_the_last_node_to_itself(
+        getattr(bijections, inverse)))
+    code, out = run(capsys, "verify-all", "--n-max", "3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    # row 0 is the all-ones array, which maps n to itself only at n = 1
+    assert failed == [f"FAIL {check} n=2", f"FAIL {check} n=3"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -147,10 +147,12 @@ def test_bijection_kernels_random_blocks(rows, n):
         assert tuple(images[k].tolist()) == tree_to_mapping(mt).image
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_batched_decoder_matches_scalar_on_every_pair(n):
-    # every ordering of every set partition, with every link sequence: forbidden
-    # links and blocks out of order included
+def _every_pair(n):
+    """Every ordering of every set partition of [n], with every link sequence.
+
+    Returns the pairs and their block-index and link rows; forbidden links
+    and blocks out of order are included.
+    """
     pairs, block_rows, link_rows = [], [], []
     for m in range(1, n + 1):
         for raw in _set_partitions(n, m):
@@ -163,7 +165,13 @@ def test_batched_decoder_matches_scalar_on_every_pair(n):
                     pairs.append((OrderedSetPartition(ordered), links))
                     block_rows.append(index)
                     link_rows.append([*links, *[0] * (n - m)])
-    images, valid = kernels.decode_partition(np.array(block_rows), np.array(link_rows))
+    return pairs, np.array(block_rows), np.array(link_rows)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_batched_decoder_matches_scalar_on_every_pair(n):
+    pairs, block_rows, link_rows = _every_pair(n)
+    images, valid = kernels.decode_partition(block_rows, link_rows)
     for k, (partition, links) in enumerate(pairs):
         try:
             expected = decode_partition(partition, links).image
@@ -173,6 +181,53 @@ def test_batched_decoder_matches_scalar_on_every_pair(n):
             assert valid[k]
             assert tuple(images[k].tolist()) == expected
     assert valid.any() and (n == 1 or not valid.all())
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_shared_tables_decode_like_one_call_per_link_array(n, dtype):
+    # verify-all builds a block's partition tables once and decodes two link arrays with them
+    _, block_rows, link_rows = _every_pair(n)
+    block_rows, link_rows = block_rows.astype(dtype), link_rows.astype(dtype)
+    used = link_rows > 0
+    link_arrays = [link_rows, np.where(used, link_rows % n + 1, 0), used.astype(dtype),
+                   np.where(used, n, 0).astype(dtype), np.where(used, link_rows[::-1] % n + 1, 0)]
+    tables = kernels.partition_tables(block_rows)
+    for links in link_arrays:
+        images, valid = kernels.decode_links(tables, links)
+        expected_images, expected_valid = kernels.decode_partition(block_rows, links)
+        assert images.dtype == expected_images.dtype == links.dtype
+        assert np.array_equal(images, expected_images)
+        assert np.array_equal(valid, expected_valid)
+    # the verdicts differ between the link arrays, so none can stand in for another
+    assert n == 1 or len({kernels.decode_links(tables, links)[1].tobytes()
+                          for links in link_arrays}) == len(link_arrays)
+
+
+def _extreme_cycle_rows(n):
+    """Rows with n cycles (the identity), one n-cycle both ways round, and the constant maps."""
+    labels = np.arange(1, n + 1)
+    rows = [labels, labels % n + 1, (labels - 2) % n + 1]
+    rows += [np.full(n, c) for c in sorted({1, (n + 1) // 2, n})]
+    return np.array(rows)
+
+
+# every dtype that holds the labels: uint8 does not hold 1000
+@pytest.mark.parametrize("n, dtype", [
+    (n, dtype) for n in (1, 2, 7, 1000) for dtype in (np.uint8, np.uint16, np.int64)
+    if n <= np.iinfo(dtype).max])
+def test_peak_relink_at_extreme_cycle_structures(n, dtype):
+    block = _extreme_cycle_rows(n).astype(dtype)
+    # the whole block, and each row as a block of its own; the identity's trees walk
+    # the longest chain of path maxima back
+    for images in [block, *block[:, None]]:
+        parents, marks = kernels.mapping_to_tree(images)
+        assert parents.dtype == marks.dtype == images.dtype
+        back = kernels.tree_to_mapping(parents, marks)
+        assert back.dtype == images.dtype and np.array_equal(back, images)
+        for k, row in enumerate(images.tolist()):
+            mt = mapping_to_tree(make_mapping(row))
+            assert tuple(parents[k].tolist()) == mt.tree.parent and marks[k] == mt.mark
 
 
 def test_verify_all_blocks_enumerate_in_product_order():
