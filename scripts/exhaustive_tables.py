@@ -3,12 +3,13 @@
 
 The exhaustive scan enumerates all n^n arrays.  n = 8 is about 1.7e7
 arrays: `--n-max 8 --workers 2`, which raises the bound to its n-max,
-takes about 0.33-0.35 s as a process on a 2-core x86-64 box (numpy 2.4),
-and the script's own timer puts n = 8 itself at about 0.08 s; its n = 1
-line also counts loading numpy, which the first scan does.  Most of the
-rest is start-up (importing numpy alone took 0.18-0.22 s there), as in
+takes about 0.29-0.35 s as a process on a 2-core x86-64 box (numpy 2.4;
+median 0.30 s over seven runs), and the script's own timer puts n = 8
+itself at about 0.05-0.06 s; its n = 1 line also counts loading numpy,
+which the first scan does.  Most of the rest is start-up (a process that
+only imports numpy took 0.17-0.19 s there), as in
 `cayley-runs table --kind tree --n 8 --oracle --max-size 8 --workers 2`,
-which takes about 0.30-0.44 s as a process.  Every size up to 8 is scanned in
+which takes about 0.27-0.41 s as a process.  Every size up to 8 is scanned in
 this process whatever `--workers` says, because a scan that short ends
 before a pool would start; `--n-max 9` is the first that uses a pool.
 """

@@ -36,15 +36,22 @@ array blocks), and ``pool_size`` says how many it starts;
 The brute-force oracle's array engine lives here too: ``_tally_blocks``
 tallies every array with given prefixes through the tables of
 ``_suffix_tables``, and ``exact.brute_force_tables`` deals the prefixes
-to its jobs.  It counts runs with ``np.bitwise_count``, new in numpy
-2.0, so the package needs numpy 2.0 or later.  This module and
-``montecarlo`` are the only ones that import numpy (and this one
-``multiprocessing``) when they load; every other module loads them on
-first use, so commands that draw or scan no array start without them.
+to its jobs.  Each cell's class fits one byte, so ``_tally_blocks``
+bincounts a block's cells two at a time, as the uint16 a + 256 b of two
+neighbours, and once per job folds the pair slots back by adding both
+cells of each pair; the fold treats the two bytes alike, so byte order
+does not matter.  The short-axis reductions of the suffix tables are
+row products or column loops, as in ``any_per_row``.  The oracle counts
+runs with ``np.bitwise_count``, new in numpy 2.0, so the package needs
+numpy 2.0 or later.  This module and ``montecarlo`` are the only ones
+that import numpy (and this one ``multiprocessing``) when they load;
+every other module loads them on first use, so commands that draw or
+scan no array start without them.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from typing import NamedTuple
@@ -173,13 +180,15 @@ def cycles(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With ``_climb`` taking minima, mn[g[i]] is the smallest label of the
     cycle that the path from i reaches, so a row has as many cycles as
     nodes i with mn[g[i]] = i.  Returns g = f^(2^k) as 1-based labels,
-    shaped like ``images``, and the cycle counts.
+    shaped like ``images``, and the cycle counts as intp.
     """
     rows, n = images.shape
     offsets = _offsets(rows, n)
     g, mn = _climb(images + offsets, n, np.minimum)
     cycle_min = np.take(mn, g, mode="clip")
-    return g - offsets, np.count_nonzero(cycle_min == np.arange(n), axis=1)
+    # a row product counts faster than count_nonzero along the short axis, in a dtype that holds n
+    count = (cycle_min == np.arange(n)) @ np.ones(n, dtype=np.min_scalar_type(n))
+    return g - offsets, count.astype(np.intp)
 
 
 def mapping_to_tree(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +363,7 @@ def _ascent_bits(images: np.ndarray) -> np.ndarray:
     """Per row, the set {f(i) : f(i) > i} over columns i = 1, 2, ..., as bit f(i) - 1."""
     nodes = np.arange(1, images.shape[1] + 1)
     bits = np.where(images > nodes, np.left_shift(1, images - 1), 0)
-    return np.bitwise_or.reduce(bits, axis=1)
+    return functools.reduce(np.bitwise_or, bits.T)  # column by column: faster than reduce(axis=1)
 
 
 def _suffix_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
@@ -385,7 +394,7 @@ def _suffix_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
     block[:, :p] = np.arange(1, p + 1)
     block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
     ends, inner = cycles(block)
-    suffix_fixed = (block[:, p:] == np.arange(p + 1, n + 1)).any(axis=1)
+    suffix_fixed = any_per_row(block[:, p:] == np.arange(p + 1, n + 1))
     suffix_share = (np.minimum(inner - p, 2) + 3 * suffix_fixed) * q ** p
 
     key_type = np.min_scalar_type(6 * q ** p - 1)
@@ -450,15 +459,34 @@ def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
     classifies one ``block_rows`` block of prefixes at a time by table
     lookups and popcounts.  Every array is still counted once and no
     formula is called.
+
+    The cells are tallied two at a time.  A class fits one byte (3 (n + 1)
+    <= 256 for n <= 84), so a block's first even number of cells, viewed
+    as uint16, holds a + 256 b for each pair of neighbours a, b, and
+    ``np.bincount`` tallies those pairs into 256 K slots, K = 3 (n + 1),
+    with an odd last cell counted alone.  That halves the intp copy that
+    ``np.bincount`` makes of its input and spreads the increments over
+    256 K slots instead of K, so fewer of them wait on the last one to the
+    same slot.  Once per job the slots fold back into K classes: as a
+    (K, 256) table, its row sums count one cell of each pair and its first
+    K column sums the other.  The fold adds both cells alike, so it does
+    not matter which byte the platform puts first.
     """
     p = len(prefixes[0])
     tables = _suffix_tables(n, p)
     rows = np.array(prefixes, dtype=np.intp)
     step = block_rows(len(rows), n ** (n - p))
-    counts = np.zeros(3 * (n + 1), dtype=np.int64)
+    k = 3 * (n + 1)
+    pairs = np.zeros(256 * k, dtype=np.int64)
+    counts = np.zeros(k, dtype=np.int64)
     for start in range(0, len(rows), step):
-        cells = _classes(tables, rows[start:start + step])
-        counts += np.bincount(cells.reshape(-1), minlength=3 * (n + 1))
+        cells = _classes(tables, rows[start:start + step]).reshape(-1)
+        even = len(cells) & ~1
+        pairs += np.bincount(cells[:even].view(np.uint16), minlength=256 * k)
+        if even < len(cells):
+            counts[cells[-1]] += 1
+    by_pair = pairs.reshape(k, 256)
+    counts += by_pair.sum(axis=1) + by_pair[:, :k].sum(axis=0)
     # rows: not connected, connected but not a tree, tree
     by_class = counts.reshape(3, n + 1)
     return np.stack([by_class[2], by_class.sum(axis=0), by_class[1] + by_class[2]])

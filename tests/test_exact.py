@@ -256,6 +256,18 @@ def test_brute_force_tables_match_the_per_block_scan(n):
         {m: int(c) for m, c in enumerate(row) if c} for row in want]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_tally_matches_the_per_block_scan(n):
+    # a prefix holds n^4 cells (n^(n-1) up to n = 5): odd at n = 1, 3, 5, 7, even at
+    # n = 2, 4, 6, 8; at n = 1 a block is one cell and holds no pair
+    prefixes = list(itertools.product(range(1, n + 1), repeat=max(1, n - kernels._FREE_ENTRIES)))
+    dealt = prefixes[::37] if n == 8 else prefixes[1::2] or prefixes  # n = 8 in full is slow
+    for job in (dealt, prefixes[:1], prefixes[-1:], prefixes[:3]):
+        got = kernels._tally_blocks(n, job)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _tally_blocks_reference(n, job)), len(job)
+
+
 def test_tally_blocks_on_sixteen_bit_masks():
     # n = 9 is the first size whose ascent masks are uint16; a full scan is too slow here
     n = 9

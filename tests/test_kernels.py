@@ -59,6 +59,25 @@ def test_kernels_random_blocks(images):
     _assert_rows_match_scalar(images)
 
 
+def _cycle_counts_reference(images):
+    """The count along the short axis that ``cycles`` replaced with a row product."""
+    rows, n = images.shape
+    g, mn = kernels._climb(images + kernels._offsets(rows, n), n, np.minimum)
+    return np.count_nonzero(np.take(mn, g, mode="clip") == np.arange(n), axis=1)
+
+
+# n = 256 and n = 300: the identity's n cycles are past any uint8 count
+@pytest.mark.parametrize("n", [1, 2, 7, 9, 256, 300])
+def test_cycle_counts_match_count_nonzero_as_intp(n):
+    drawn = np.random.default_rng(n).integers(1, n + 1, size=(50, n))
+    labels = np.arange(1, n + 1)
+    images = np.vstack([drawn, labels, np.roll(labels, 1), np.full(n, n)])
+    counts = cycles(images)[1]
+    assert counts.dtype == np.intp
+    assert np.array_equal(counts, _cycle_counts_reference(images))
+    assert counts[-3:].tolist() == [n, 1, 1]
+
+
 def _run_counts_reference(images):
     """The unblocked kernel: np.where zeroes the non-ascents, put_along_axis marks the rest."""
     rows, n = images.shape
