@@ -211,7 +211,7 @@ def decode_partition(s: OrderedSetPartition, x: LinkSequence) -> Mapping:
     exactly when block maxima strictly decrease and no such block exists.
 
     pred and the tops come from two linear passes, with no block sorted,
-    as in ``kernels.decode_partition``.  The owner pass records owner[a],
+    as in ``kernels.partition_tables``.  The owner pass records owner[a],
     the index of a's block.  The upward scan visits a = 1, ..., n and
     keeps last[k], the largest label of block k visited so far (0 before
     any).  When a is visited, every label of its block below a has been

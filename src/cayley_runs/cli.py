@@ -283,21 +283,6 @@ def _verify_step(n: int) -> int:
     return max(1, _VERIFY_CELLS // n)
 
 
-def _array_blocks(n: int, lo: int = 0, hi: int | None = None):
-    """Arrays lo, ..., hi - 1 of [n]^n in ``itertools.product`` order (hi = n^n when None).
-
-    A block holds ``_verify_step(n)`` rows, the last one fewer, so a range
-    that starts on a block boundary yields the blocks a whole scan does.
-    """
-    import numpy as np
-
-    step, hi = _verify_step(n), n ** n if hi is None else hi
-    place = n ** np.arange(n - 1, -1, -1)
-    for start in range(lo, hi, step):
-        rows = np.arange(start, min(start + step, hi))[:, None]
-        yield (rows // place % n + 1).astype(np.min_scalar_type(n))
-
-
 def _labels(mask) -> frozenset[int]:
     import numpy as np
 
@@ -357,13 +342,19 @@ def _check_block(images) -> tuple[bool, bool, bool]:
 def _check_range(n: int, lo: int, hi: int):
     """Blocks of arrays [lo, hi) of [n]^n that fail each ``_check_block`` check, as an int array.
 
-    A pool job: it builds its own arrays from the range, so only three
-    integers come back, and ``kernels.pooled_sum`` adds the jobs' counts.
+    A pool job: it builds its own blocks of ``_verify_step(n)`` rows by
+    ``kernels.product_rows``, so a range that starts on a block boundary
+    checks the blocks a whole scan does, and only three integers come
+    back for ``kernels.pooled_sum`` to add.
     """
     import numpy as np
 
+    from . import kernels
+
+    step, label = _verify_step(n), np.min_scalar_type(n)
     failed = np.zeros(3, dtype=np.int64)
-    for images in _array_blocks(n, lo, hi):
+    for start in range(lo, hi, step):
+        images = kernels.product_rows(n, n, start, min(start + step, hi)).astype(label)
         failed += np.logical_not(_check_block(images))
     return failed
 
@@ -371,12 +362,13 @@ def _check_range(n: int, lo: int, hi: int):
 def _exhaustive_checks(n_max: int, bound: int, workers: int = 1):
     """(name, passed) for each exhaustive check, yielded as it finishes; n_max is checked first.
 
-    The bijection checks for each n cut its ``_array_blocks`` into one
-    contiguous run of whole blocks per process (``kernels.block_runs``, as
-    for a ``mc --trees`` chunk), so every block and its scalar row 0 are
-    those of a one-process scan.  A check passes when no job counts a
-    failed block.  Up to n = 5 one block holds every array, so no pool
-    starts; the oracle tables and pair counts run in this process.
+    The bijection checks for each n deal [n]^n as one contiguous run of
+    whole blocks per process (``kernels.block_runs``, as for a
+    ``mc --trees`` chunk and the oracle's prefixes), so every block and
+    its scalar row 0 are those of a one-process scan.  A check passes
+    when no job counts a failed block.  Up to n = 5 one block holds every
+    array, so no pool starts; the oracle tables and pair counts run in
+    this process.
     """
     if n_max < 1:
         raise ValueError(f"n-max={n_max} must be positive")

@@ -12,17 +12,17 @@ imports no numpy; ``brute_force_tables`` loads ``kernels`` on its first call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_EXHAUSTIVE_BOUND = 7
-# Arrays one pooled job scans, so a scan of at most this many runs in this process.
+# Arrays in one block of whole prefixes, the unit the pool deals out, so a scan of at
+# most this many runs in this process.
 # In-process on a 2-core x86-64 box (numpy 2.4), one worker against a pool of two:
 # n = 7 (8.2e5 arrays) 5-8 ms against 14-27 ms, n = 8 (1.7e7) 0.08-0.12 s against
-# 0.06-0.10 s, and n = 9 (3.9e8) 2.7-2.9 s against 1.6 s.  A job holds 2^25 arrays,
-# between the sizes of n = 8 and n = 9: n = 8 is one job, and n = 9 is twelve.  As a
+# 0.06-0.10 s, and n = 9 (3.9e8) 2.7-2.9 s against 1.6 s.  A block holds 2^25 arrays,
+# between the sizes of n = 8 and n = 9: n = 8 is one block, and n = 9 is twelve.  As a
 # process, `table --kind tree --n 8 --oracle --max-size 8 --workers 2` took a median
 # 0.219-0.222 s at 2^25 against 0.209-0.214 s at 2^23 (two jobs), 12 alternating runs
 # twice: 1.04-1.05x, too little to pay for a pool start on every n = 8 scan.
@@ -132,13 +132,14 @@ def brute_force_tables(
 
     Enumerates all n^n arrays, so the bound matters; raise it explicitly
     to go beyond the default.  Each array is a prefix of all but the last
-    four entries followed by a suffix (2,401 suffixes at n = 7).  A scan
-    makes ceil(n^n / ``_JOB_ARRAYS``) jobs, at most one per prefix, and
-    ``kernels.pool_size`` starts at most that many processes, so every
-    scan up to n = 8 runs in this process.  The prefixes are dealt
-    round-robin into one job per process that starts, each job tabulates
-    the suffixes once and classifies its arrays (``kernels._tally_blocks``),
-    and per-job tallies are merged by addition.
+    four entries followed by a suffix (2,401 suffixes at n = 7).  The
+    prefixes, in ``itertools.product`` order, are cut into blocks of at
+    most ``_JOB_ARRAYS`` arrays but at least one prefix, and
+    ``kernels.block_runs`` deals the blocks as one contiguous prefix range
+    per process that starts, as ``verify-all`` deals its array blocks; so
+    every scan up to n = 8 is one block and runs in this process.  Each
+    job tabulates the suffixes once and classifies the arrays of its range
+    (``kernels._tally_blocks``), and per-job tallies are merged by addition.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -146,10 +147,10 @@ def brute_force_tables(
         raise SizeTooLargeError(f"n={n} exceeds exhaustive bound {max_size}")
     from . import kernels  # numpy loads here, not with the closed forms
 
-    prefixes = list(itertools.product(range(1, n + 1), repeat=max(1, n - kernels._FREE_ENTRIES)))
-    workers = kernels.pool_size(workers, min(len(prefixes), -(-n ** n // _JOB_ARRAYS)))
-    chunks = [(n, prefixes[w::workers]) for w in range(workers)]
-    tallies = kernels.pooled_sum(kernels._tally_blocks, chunks, workers)
+    p = max(1, n - kernels._FREE_ENTRIES)
+    runs = kernels.block_runs(n ** p, max(1, _JOB_ARRAYS // n ** (n - p)), workers)
+    jobs = [(n, p, lo, hi) for lo, hi in runs]
+    tallies = kernels.pooled_sum(kernels._tally_blocks, jobs, workers)
 
     def table(row) -> CountTable:
         return CountTable(n=n, values={m: int(row[m]) for m in range(1, n + 1) if row[m]})

@@ -8,15 +8,15 @@ must lie in [1, n]: callers generate them, and the kernels do not check
 them.  The bijections return labels in the input's dtype, so a caller
 may pass the narrowest unsigned type that holds n.
 
-``_climb`` is the one pointer-doubling walk.  ``cycles`` counts cycles
-with it, for the suffix and contracted-prefix tables of the brute-force
-oracle, and the batched tree bijection finds cycle maxima and ancestor
-maxima with it.  ``mapping_to_tree`` and ``tree_to_mapping`` are the
-tree bijection of ``bijections``; ``run_starts`` is the run-start
-predicate of ``runs``; ``encode_partition`` and ``decode_partition``
-are the run-partition bijection, a partition given as each label's
-block index.  ``decode_partition`` is ``partition_tables``, which
-depends on the block indices alone, then ``decode_links``, so
+``_climb`` is the one pointer-doubling walk, and each cycle is known by
+its largest label.  ``cycles`` counts those cycle maxima, for the suffix
+and contracted-prefix tables of the brute-force oracle; the batched tree
+bijection relinks them and finds ancestor maxima.  ``mapping_to_tree``
+and ``tree_to_mapping`` are the tree bijection of ``bijections``;
+``run_starts`` is the run-start predicate of ``runs``;
+``encode_partition`` is the run-partition bijection, a partition given as
+each label's block index, and ``partition_tables``, which depends on the
+block indices alone, then ``decode_links`` is its inverse, so
 ``verify-all`` decodes a block's two link arrays through one set of
 tables.  Its serial block checks over the 352 blocks of [7]^7 take
 about 0.86-0.90 s on a 2-core box (best of 5), and under cProfile
@@ -28,15 +28,17 @@ the decode (0.09 s of tables, 0.07 s of links), 0.14 s in
 so its temporaries stay in cache and its memory does not grow with the
 rows; ``block_rows`` is that rule, and the Monte Carlo sampler draws by
 it too.  ``pooled_sum`` spreads such batched work over worker processes
-(the oracle's prefix jobs, the Monte Carlo chunks and ``verify-all``'s
-array blocks), and ``pool_size`` says how many it starts;
-``block_runs`` cuts rows into one run of whole blocks per process, for
-``mc --trees`` chunks and ``verify-all``.
+(the oracle's prefix ranges, the Monte Carlo chunks and ``verify-all``'s
+array blocks), and ``pool_size`` says how many it starts.  ``block_runs``
+is the one job cut, one run of whole blocks per process, for
+``mc --trees`` chunks, ``verify-all``'s arrays and the oracle's
+prefixes; ``product_rows`` is the one enumeration of [n]^k, so a job is
+a row range and builds its own rows.
 
 The brute-force oracle's array engine lives here too: ``_tally_blocks``
-tallies every array with given prefixes through the tables of
-``_suffix_tables``, and ``exact.brute_force_tables`` deals the prefixes
-to its jobs.  Each cell's class fits one byte, so ``_tally_blocks``
+tallies every array with a range of prefixes through the tables of
+``_suffix_tables``, and ``exact.brute_force_tables`` cuts the prefixes
+into its jobs.  Each cell's class fits one byte, so ``_tally_blocks``
 bincounts a block's cells two at a time, as the uint16 a + 256 b of two
 neighbours, and once per job folds the pair slots back by adding both
 cells of each pair; the fold treats the two bytes alike, so byte order
@@ -92,6 +94,11 @@ def block_runs(rows: int, step: int, workers: int) -> list[tuple[int, int]]:
     parts = pool_size(workers, blocks)
     cuts = [min(rows, blocks * j // parts * step) for j in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))
+
+
+def product_rows(n: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo, ..., hi - 1 of [n]^k in ``itertools.product`` order, as intp: r in base n, plus 1."""
+    return np.arange(lo, hi, dtype=np.intp)[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
 
 
 def _smaller_preimage_marks(block: np.ndarray) -> np.ndarray:
@@ -154,40 +161,40 @@ def _offsets(rows: int, n: int) -> np.ndarray:
     return (np.arange(rows) * n - 1)[:, None]
 
 
-def _climb(pointers: np.ndarray, n: int, extreme) -> tuple[np.ndarray, np.ndarray]:
-    """Pointer doubling over flat indices: (g, best) after k = ceil(log2 n) squarings.
+def _climb(pointers: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling over flat indices: (g, top) after k = ceil(log2 n) squarings.
 
-    g = f^(2^k) and best[i] is the ``extreme`` (``np.minimum`` or
-    ``np.maximum``) of the 0-based labels of f^0(i), ..., f^(2^k - 1)(i).
-    Since 2^k >= n, g[i] lies on the cycle that the path from i reaches,
-    best[g[i]] is that cycle's extreme label, and best[i] covers every
-    node on the path from i to that cycle.  Flat indices let ``np.take``
-    gather without per-axis fancy indexing.
+    g = f^(2^k) and top[i] is the largest 0-based label of f^0(i), ...,
+    f^(2^k - 1)(i).  Since 2^k >= n, g[i] lies on the cycle that the path
+    from i reaches, top[g[i]] is that cycle's largest label, and top[i]
+    covers every node on the path from i to that cycle.  Flat indices let
+    ``np.take`` gather without per-axis fancy indexing.
     """
     rows = len(pointers)
     # labels in the narrowest dtype: gathering bytes instead of int64 halves the cost
-    best = np.broadcast_to(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, n))
+    top = np.broadcast_to(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, n))
     g = pointers
     for _ in range((n - 1).bit_length()):
-        best = extreme(best, np.take(best, g, mode="clip"))
+        top = np.maximum(top, np.take(top, g, mode="clip"))
         g = np.take(g, g, mode="clip")
-    return g, best
+    return g, top
 
 
 def cycles(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each node's path ends, and each row's number of cycles, by pointer doubling.
 
-    With ``_climb`` taking minima, mn[g[i]] is the smallest label of the
-    cycle that the path from i reaches, so a row has as many cycles as
-    nodes i with mn[g[i]] = i.  Returns g = f^(2^k) as 1-based labels,
-    shaped like ``images``, and the cycle counts as intp.
+    top[g[i]] is the largest label of the cycle that the path from i
+    reaches, so a row has as many cycles as nodes i with top[g[i]] = i,
+    the cycle maxima that ``mapping_to_tree`` relinks.  Returns
+    g = f^(2^k) as 1-based labels, shaped like ``images``, and the cycle
+    counts as intp.
     """
     rows, n = images.shape
     offsets = _offsets(rows, n)
-    g, mn = _climb(images + offsets, n, np.minimum)
-    cycle_min = np.take(mn, g, mode="clip")
+    g, top = _climb(images + offsets, n)
+    cycle_max = np.take(top, g, mode="clip")
     # a row product counts faster than count_nonzero along the short axis, in a dtype that holds n
-    count = (cycle_min == np.arange(n)) @ np.ones(n, dtype=np.min_scalar_type(n))
+    count = (cycle_max == np.arange(n)) @ np.ones(n, dtype=np.min_scalar_type(n))
     return g - offsets, count.astype(np.intp)
 
 
@@ -195,16 +202,16 @@ def mapping_to_tree(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parent arrays and marks of ``bijections.mapping_to_tree``, row by row.
 
     With the cycle maxima c_1 > ... > c_t and d_i = f(c_i), c_i takes the
-    parent d_{i+1}, c_t becomes the root and d_1 the mark.  Taking maxima,
-    ``_climb`` marks node c as a cycle maximum exactly when the cycle its
-    path reaches peaks at c, which only c's own cycle can.  Only the peaks
+    parent d_{i+1}, c_t becomes the root and d_1 the mark.  ``_climb``
+    marks node c as a cycle maximum exactly when the cycle its path
+    reaches peaks at c, which only c's own cycle can.  Only the peaks
     are relinked: their flat indices come in increasing order, row after
     row, and every row has one, so each peak but a row's first takes the
     image of the peak before it, the first is the root, and the image of
     the last is the mark.
     """
     rows, n = images.shape
-    g, top = _climb(images + _offsets(rows, n), n, np.maximum)
+    g, top = _climb(images + _offsets(rows, n), n)
     peaks = np.flatnonzero(np.take(top, g, mode="clip") == np.arange(n))
     row = peaks // n
     first = np.ones(len(peaks), dtype=bool)
@@ -236,7 +243,7 @@ def tree_to_mapping(parents: np.ndarray, marks: np.ndarray) -> np.ndarray:
     rows, n = parents.shape
     offsets = _offsets(rows, n)
     up = parents + offsets
-    _, best = _climb(up, n, np.maximum)
+    _, best = _climb(up, n)
     starts = offsets + 1  # added to a 0-based label of row r, its flat index
     above = np.take(best, up) + starts  # the largest strict ancestor; a root's own
     images = np.empty(rows * n + 1, dtype=parents.dtype)
@@ -350,15 +357,6 @@ def decode_links(tables: PartitionTables, links: np.ndarray) -> tuple[np.ndarray
     return images, ~(any_per_row(forbidden) | unordered)
 
 
-def decode_partition(blocks: np.ndarray, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images rebuilt from block indices and links alone, and which pairs are valid.
-
-    ``decode_links`` on the ``partition_tables`` of ``blocks``; a caller
-    with several link arrays for the same blocks builds the tables once.
-    """
-    return decode_links(partition_tables(blocks), links)
-
-
 def _ascent_bits(images: np.ndarray) -> np.ndarray:
     """Per row, the set {f(i) : f(i) > i} over columns i = 1, 2, ..., as bit f(i) - 1."""
     nodes = np.arange(1, images.shape[1] + 1)
@@ -439,8 +437,11 @@ def _classes(tables: tuple[np.ndarray, ...], prefixes: np.ndarray) -> np.ndarray
     return out
 
 
-def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
-    """Run-count tallies (tree, mapping, connected) over every array with the given prefixes.
+def _tally_blocks(n: int, p: int, lo: int, hi: int) -> np.ndarray:
+    """Run-count tallies (tree, mapping, connected) over every array whose prefix is in [lo, hi).
+
+    The prefixes are rows lo, ..., hi - 1 of [n]^p, which the job builds
+    with ``product_rows``, so a pool job pickles four integers.
 
     Split f in [n]^n into its prefix P = (1, ..., p) and suffix S = (p + 1,
     ..., n).  Lemma: the cycles of f are the cycles inside S plus one for
@@ -472,9 +473,8 @@ def _tally_blocks(n: int, prefixes: list[tuple[int, ...]]) -> np.ndarray:
     K column sums the other.  The fold adds both cells alike, so it does
     not matter which byte the platform puts first.
     """
-    p = len(prefixes[0])
     tables = _suffix_tables(n, p)
-    rows = np.array(prefixes, dtype=np.intp)
+    rows = product_rows(n, p, lo, hi)  # intp: _ascent_bits shifts 1 << (f - 1), past uint8 at n >= 9
     step = block_rows(len(rows), n ** (n - p))
     k = 3 * (n + 1)
     pairs = np.zeros(256 * k, dtype=np.int64)

@@ -412,6 +412,43 @@ def test_exhaustive_tables_script_rejects_counts_below_one(flag, value):
                            f"argument {flag}: must be at least 1, not {value}")
 
 
+_WRONG_TABLE_SCRIPT = """
+import importlib.util, sys
+from cayley_runs import CountTable, brute_force_tables
+
+kind, path = int(sys.argv[1]), sys.argv[2]
+spec = importlib.util.spec_from_file_location("exhaustive_tables", path)
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+
+def wrong(n, workers=1, max_size=7):
+    tables = list(brute_force_tables(n, workers, max_size))
+    if n == 3:  # one array moved from one run to two in the chosen table
+        values = tables[kind].values
+        tables[kind] = CountTable(n, {**values, 1: values[1] - 1, 2: values[2] + 1})
+    return tuple(tables)
+
+script.brute_force_tables = wrong
+sys.argv = [path, "--n-max", "4", "--workers", "1"]
+script.main()
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("kind, name", enumerate(["tree", "mapping", "connected"]))
+def test_exhaustive_tables_script_exits_1_on_a_wrong_table(optimize, kind, name):
+    # it checked with assert: -O stripped the checks, and without -O a mismatch was a traceback;
+    # the connected column was never checked
+    script = Path(__file__).resolve().parents[1] / "scripts" / "exhaustive_tables.py"
+    out = subprocess.run([sys.executable, *optimize, "-c", _WRONG_TABLE_SCRIPT, str(kind),
+                          str(script)], env=_package_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 1
+    assert out.stderr == f"n=3: the brute-force {name} table does not match its closed form\n"
+    assert out.stdout.startswith("n=1 ") and "n=3 " in out.stdout and "n=4 " not in out.stdout
+    assert "match the closed forms" not in out.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["--workers", "0"], ["--samples", "0"], ["--sizes", "0"], ["--sizes", "10", "-3"],
 ])

@@ -228,14 +228,13 @@ def _has_fixed_point(images):
     return (images == np.arange(1, images.shape[1] + 1)).any(axis=1)
 
 
-def _tally_blocks_reference(n, prefixes):
-    """The per-block scan: every array of each prefix block through three full kernels."""
-    p = len(prefixes[0])
+def _tally_blocks_reference(n, p, lo, hi):
+    """The per-block scan: every array of prefixes lo, ..., hi - 1 through three full kernels."""
     s = n - p
     block = np.empty((n ** s, n), dtype=np.intp)
     block[:, p:] = np.indices((n,) * s).reshape(s, n ** s).T + 1
     tallies = np.zeros((3, n + 1), dtype=np.int64)
-    for prefix in prefixes:
+    for prefix in itertools.islice(itertools.product(range(1, n + 1), repeat=p), lo, hi):
         block[:, :p] = prefix
         runs = kernels.run_counts(block)
         conn = _connected(block)
@@ -248,9 +247,9 @@ def _tally_blocks_reference(n, prefixes):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_brute_force_tables_match_the_per_block_scan(n):
-    prefixes = list(itertools.product(range(1, n + 1), repeat=n - kernels._FREE_ENTRIES))
-    want = _tally_blocks_reference(n, prefixes)
-    assert np.array_equal(kernels._tally_blocks(n, prefixes), want)
+    p = n - kernels._FREE_ENTRIES
+    want = _tally_blocks_reference(n, p, 0, n ** p)
+    assert np.array_equal(kernels._tally_blocks(n, p, 0, n ** p), want)
     tables = brute_force_tables(n, max_size=8)
     assert [t.values for t in tables] == [
         {m: int(c) for m, c in enumerate(row) if c} for row in want]
@@ -259,23 +258,28 @@ def test_brute_force_tables_match_the_per_block_scan(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pair_tally_matches_the_per_block_scan(n):
     # a prefix holds n^4 cells (n^(n-1) up to n = 5): odd at n = 1, 3, 5, 7, even at
-    # n = 2, 4, 6, 8; at n = 1 a block is one cell and holds no pair
-    prefixes = list(itertools.product(range(1, n + 1), repeat=max(1, n - kernels._FREE_ENTRIES)))
-    dealt = prefixes[::37] if n == 8 else prefixes[1::2] or prefixes  # n = 8 in full is slow
-    for job in (dealt, prefixes[:1], prefixes[-1:], prefixes[:3]):
-        got = kernels._tally_blocks(n, job)
+    # n = 2, 4, 6, 8, so one or three prefixes give an odd count there and two an even one;
+    # at n = 1 a block is one cell and holds no pair
+    p = max(1, n - kernels._FREE_ENTRIES)
+    last = n ** p
+    ranges = {(0, 1), (last - 1, last), (0, min(3, last)), (last // 3, min(last // 3 + 2, last)),
+              (1_000, 1_111) if n == 8 else (0, last)}  # n = 8 in full is slow
+    for lo, hi in sorted(ranges):
+        got = kernels._tally_blocks(n, p, lo, hi)
         assert got.dtype == np.int64
-        assert np.array_equal(got, _tally_blocks_reference(n, job)), len(job)
+        assert np.array_equal(got, _tally_blocks_reference(n, p, lo, hi)), (lo, hi)
 
 
 def test_tally_blocks_on_sixteen_bit_masks():
-    # n = 9 is the first size whose ascent masks are uint16; a full scan is too slow here
-    n = 9
-    drawn = np.random.default_rng(26).integers(1, n + 1, size=(24, n - kernels._FREE_ENTRIES))
-    sample = [tuple(row) for row in drawn.tolist()]
-    sample += [(1, 1, 1, 1, 1), (1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (9, 9, 9, 9, 9)]
-    assert kernels._suffix_tables(n, 5)[2].dtype == np.uint16
-    assert np.array_equal(kernels._tally_blocks(n, sample), _tally_blocks_reference(n, sample))
+    # n = 9 is the first size whose ascent masks are uint16; a full scan is too slow here.
+    # The ranges: the first and last prefixes, one across the cut between the first two
+    # of the oracle's blocks of 5,114 prefixes, and the prefixes 1 2 3 4 5 (all fixed
+    # points) and 2 3 4 5 6 (all ascents)
+    n, p = 9, 5
+    assert kernels._suffix_tables(n, p)[2].dtype == np.uint16
+    for lo, hi in [(0, 3), (n ** p - 4, n ** p), (5_112, 5_117), (922, 923), (8_303, 8_304)]:
+        assert np.array_equal(kernels._tally_blocks(n, p, lo, hi),
+                              _tally_blocks_reference(n, p, lo, hi)), (lo, hi)
 
 
 def test_brute_force_calls_no_formula(monkeypatch):

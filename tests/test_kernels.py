@@ -60,9 +60,13 @@ def test_kernels_random_blocks(images):
 
 
 def _cycle_counts_reference(images):
-    """The count along the short axis that ``cycles`` replaced with a row product."""
+    """Cycles counted by their minima along the short axis, where ``cycles`` takes maxima."""
     rows, n = images.shape
-    g, mn = kernels._climb(images + kernels._offsets(rows, n), n, np.minimum)
+    g = images + (np.arange(rows) * n - 1)[:, None]
+    mn = np.broadcast_to(np.arange(n), (rows, n))
+    for _ in range((n - 1).bit_length()):
+        mn = np.minimum(mn, np.take(mn, g, mode="clip"))
+        g = np.take(g, g, mode="clip")
     return np.count_nonzero(np.take(mn, g, mode="clip") == np.arange(n), axis=1)
 
 
@@ -190,7 +194,7 @@ def _every_pair(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_batched_decoder_matches_scalar_on_every_pair(n):
     pairs, block_rows, link_rows = _every_pair(n)
-    images, valid = kernels.decode_partition(block_rows, link_rows)
+    images, valid = kernels.decode_links(kernels.partition_tables(block_rows), link_rows)
     for k, (partition, links) in enumerate(pairs):
         try:
             expected = decode_partition(partition, links).image
@@ -214,7 +218,8 @@ def test_shared_tables_decode_like_one_call_per_link_array(n, dtype):
     tables = kernels.partition_tables(block_rows)
     for links in link_arrays:
         images, valid = kernels.decode_links(tables, links)
-        expected_images, expected_valid = kernels.decode_partition(block_rows, links)
+        expected_images, expected_valid = kernels.decode_links(
+            kernels.partition_tables(block_rows), links)
         assert images.dtype == expected_images.dtype == links.dtype
         assert np.array_equal(images, expected_images)
         assert np.array_equal(valid, expected_valid)
@@ -249,10 +254,36 @@ def test_peak_relink_at_extreme_cycle_structures(n, dtype):
             assert tuple(parents[k].tolist()) == mt.tree.parent and marks[k] == mt.mark
 
 
-def test_verify_all_blocks_enumerate_in_product_order():
-    for n in (1, 2, 5):
-        blocks = list(cli._array_blocks(n))
-        assert all(b.size <= cli._VERIFY_CELLS for b in blocks)
+@pytest.mark.parametrize("n, k, lo, hi", [
+    (1, 1, 0, 1), (1, 4, 0, 1), (2, 3, 0, 8), (3, 3, 5, 6), (3, 3, 4, 19), (5, 5, 0, 5 ** 5),
+    (5, 5, 2_999, 3_125), (6, 2, 7, 7), (7, 7, 123_456, 124_000), (9, 5, 5_114, 10_228),
+    (10, 6, 999_990, 10 ** 6)])
+def test_product_rows_match_itertools_product(n, k, lo, hi):
+    # ranges off any block boundary too: a job may start at any prefix
+    got = kernels.product_rows(n, k, lo, hi)
+    assert got.dtype == np.intp and got.shape == (hi - lo, k)
+    want = itertools.islice(itertools.product(range(1, n + 1), repeat=k), lo, hi)
+    assert got.tolist() == [list(row) for row in want]
+
+
+def _checked_blocks(monkeypatch, n, ranges):
+    """The blocks that ``_check_range`` hands ``_check_block`` for each (lo, hi), in order."""
+    blocks = []
+
+    def record(images):
+        blocks.append(images)
+        return True, True, True
+
+    monkeypatch.setattr(cli, "_check_block", record)
+    for lo, hi in ranges:
+        assert cli._check_range(n, lo, hi).tolist() == [0, 0, 0]
+    return blocks
+
+
+def test_verify_all_blocks_enumerate_in_product_order(monkeypatch):
+    for n in (1, 2, 5, 6):
+        blocks = _checked_blocks(monkeypatch, n, [(0, n ** n)])
+        assert all(b.size <= cli._VERIFY_CELLS and b.dtype == np.uint8 for b in blocks)
         assert np.concatenate(blocks).tolist() == [
             list(row) for row in itertools.product(range(1, n + 1), repeat=n)]
 
@@ -260,11 +291,11 @@ def test_verify_all_blocks_enumerate_in_product_order():
 def test_verify_all_checks_memory_stays_small():
     tracemalloc.start()
     try:
-        verdicts = [cli._check_block(images) for images in cli._array_blocks(6)]
+        failed = cli._check_range(6, 0, 6 ** 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdicts == [(True, True, True)] * len(verdicts)
+    assert failed.tolist() == [0, 0, 0]
     # 0.6 MiB in 2^14-cell blocks; all 46,656 arrays in one block peak at 7.8 MiB
     assert peak < 2 << 20
 
@@ -346,8 +377,8 @@ def test_verify_all_deals_runs_of_whole_blocks_one_job_per_process(monkeypatch):
         (6, 0, 16_380), (6, 16_380, 32_760), (6, 32_760, 6 ** 6)]
     assert _SerialPool.sizes == [3] and _SerialPool.jobs == [3]
     # the jobs' blocks are the blocks of one whole scan, so each keeps its scalar row 0
-    dealt = [b for _, lo, hi in ranges[5:] for b in cli._array_blocks(6, lo, hi)]
-    whole = list(cli._array_blocks(6))
+    dealt = _checked_blocks(monkeypatch, 6, [(lo, hi) for _, lo, hi in ranges[5:]])
+    whole = _checked_blocks(monkeypatch, 6, [(0, 6 ** 6)])
     assert len(dealt) == len(whole) == 18
     assert all(np.array_equal(a, b) for a, b in zip(dealt, whole))
 
